@@ -31,10 +31,6 @@ def parse_rational(text: str) -> Rat:
     return value
 
 
-def format_rational(value: Rat) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteDist:
     """Finite-support distribution with exact rational weights.

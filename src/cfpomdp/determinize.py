@@ -136,6 +136,10 @@ def initial_behavior_map(p: Pomdp, s: str, m: int) -> BehaviorMap:
     _require_deterministic(p)
     if s not in p.state_index:
         raise InputError(f"unknown state {s!r}")
+    return _rollout_map(p, s, m)
+
+
+def _rollout_map(p: Pomdp, s: str, m: int) -> BehaviorMap:
     entries = []
     for actions in itertools.product(p.actions, repeat=m):
         state = s
@@ -165,22 +169,41 @@ class BehaviorPartition:
 
 
 def behavior_partition(p: Pomdp, m: int) -> BehaviorPartition:
-    """Partition the initial support by behavior map; cell masses sum to 1."""
+    """Partition the initial support by behavior map; cell masses sum to 1.
+
+    States are grouped by an interned behavior node: the node of `s` at turn
+    t is the id of (observation of s, node of each action's successor at
+    t + 1), and a node at turn m has no successors.  Equal behavior maps are
+    exactly equal node ids.  Nodes are memoized over (state, turn), so the
+    grouping costs O(|S|·|A|·m); each cell's behavior map is rolled out once,
+    from its first member."""
     _require_deterministic(p)
-    groups: dict[BehaviorMap, list[str]] = {}
+    ids: dict[tuple[str, tuple[int, ...]], int] = {}
+    memo: dict[tuple[str, int], int] = {}
+
+    def node(s: str, turn: int) -> int:
+        if (s, turn) not in memo:
+            children = () if turn == m else tuple(
+                node(_point(p.trans_dist(s, a)), turn + 1) for a in p.actions
+            )
+            memo[(s, turn)] = ids.setdefault((_point(p.obs_dist(s)), children), len(ids))
+        return memo[(s, turn)]
+
+    groups: dict[int, list[str]] = {}
     for s in p.init.support:
-        groups.setdefault(initial_behavior_map(p, s, m), []).append(s)
+        groups.setdefault(node(s, 0), []).append(s)
     cells = sorted(
-        (
-            (bm, tuple(sorted(members, key=p.state_index.__getitem__)))
-            for bm, members in groups.items()
-        ),
-        key=lambda cell: p.state_index[cell[1][0]],
+        (tuple(sorted(members, key=p.state_index.__getitem__)) for members in groups.values()),
+        key=lambda members: p.state_index[members[0]],
     )
     return BehaviorPartition(
         tuple(
-            (bm, members, sum((p.init.prob(s) for s in members), _ZERO))
-            for bm, members in cells
+            (
+                _rollout_map(p, members[0], m),
+                members,
+                sum((p.init.prob(s) for s in members), _ZERO),
+            )
+            for members in cells
         )
     )
 
@@ -190,7 +213,6 @@ def minimize(p: Pomdp, m: int) -> Pomdp:
     cell's mass moves to its first-declared member, then states unreachable
     from the new initial support are pruned.  The behavior-map distribution,
     and hence counterfactual equivalence at horizon m, is preserved."""
-    _require_deterministic(p)
     partition = behavior_partition(p, m)
     new_init = [(members[0], mass) for _, members, mass in partition.cells]
 

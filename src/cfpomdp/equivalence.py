@@ -182,17 +182,12 @@ def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     return out
 
 
-def _script_policy(h: History) -> StochasticPolicy:
-    return DeterministicPolicy.script(h).as_stochastic()
-
-
 def _witness_query(bm: BehaviorMap) -> CollectionQuery:
     """The collection pinning down one full behavior map: each action
     sequence paired with its scripted policy and generated history."""
-    pairs = []
-    for h in bm.histories():
-        pairs.append((h, _script_policy(h)))
-    return CollectionQuery(tuple(pairs))
+    return CollectionQuery(
+        tuple((h, DeterministicPolicy.script(h).as_stochastic()) for h in bm.histories())
+    )
 
 
 def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:

@@ -7,6 +7,12 @@ any other deterministic environment that is counterfactually equivalent at
 the same horizon: matching cells of the two behavior partitions carry equal
 mass, and the transferred weight of a cell is the mass-weighted average of
 the source weights on the matching cell.
+
+For deterministic environments, m-counterfactual equivalence is decided by
+the partition masses alone: every resolution of such an environment is an
+initial state with that state's probability, so its behavior-map
+distribution is exactly `behavior_partition(env, m).masses()`.  `transfer`
+compares those masses instead of calling `check_cf_equiv`.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import History, Pomdp, Rat, history_sort_key, parse_rational, reachable_histories
-from .determinize import behavior_partition, is_deterministic
-from .equivalence import check_cf_equiv
-from .errors import CfpomdpError, DeterminismError, InputError
+from .core import History, Pomdp, Rat, parse_rational
+from .determinize import _point, behavior_partition, is_deterministic
+from .equivalence import _all_reachable, ensure_similar
+from .errors import DeterminismError, InputError
 from .trajectory import initial_posterior
 
 _ZERO = Fraction(0)
@@ -93,26 +99,18 @@ def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
         )
     if not is_deterministic(target):
         raise DeterminismError("transfer target must be deterministic")
-    verdict = check_cf_equiv(spec.env, target, m)
-    if not verdict.equivalent:
+    ensure_similar(spec.env, target)
+    source_cells = behavior_partition(spec.env, m)
+    target_cells = behavior_partition(target, m)
+    if source_cells.masses() != target_cells.masses():
         raise InputError(
             "transfer requires counterfactually equivalent environments at the given horizon"
         )
-    source_cells = behavior_partition(spec.env, m)
-    target_cells = behavior_partition(target, m)
     source_by_map = {bm: (members, mass) for bm, members, mass in source_cells.cells}
 
     new_weights: list[tuple[str, Rat]] = []
-    for bm, members, mass in target_cells.cells:
-        if bm not in source_by_map:
-            raise CfpomdpError(
-                "internal consistency error: unmatched behavior cell despite equivalence"
-            )
+    for bm, members, _ in target_cells.cells:
         src_members, src_mass = source_by_map[bm]
-        if src_mass != mass:
-            raise CfpomdpError(
-                "internal consistency error: matched cells with unequal masses"
-            )
         averaged = (
             sum(
                 (spec.env.init.prob(s) * spec._weights[s] for s in src_members),
@@ -125,6 +123,33 @@ def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
     return PureLearningSpec.of(target, new_weights, m)
 
 
+def _walk(spec: PureLearningSpec, histories: list[History]):
+    """Yield `evaluate(spec, h)` for each of `histories`, which are in
+    canonical order and closed under taking prefixes.
+
+    A history keeps {surviving initial state: current state}, extended from
+    its parent's by one deterministic step; its value is the init-weighted
+    average of the survivors' weights, and 0 when none survive.
+    """
+    p = spec.env
+    init = {s: p.init.prob(s) for s in p.init.support}
+    weighted = {s: init[s] * spec._weights[s] for s in init}
+    alive_at: dict[History, dict[str, str]] = {}
+    for h in histories:
+        if h.length == 0:
+            alive = {s: s for s in init if _point(p.obs_dist(s)) == h.initial_obs}
+        else:
+            action, obs = h.steps[-1]
+            alive = {}
+            for s0, s in alive_at[h.prefix(h.length - 1)].items():
+                s2 = _point(p.trans_dist(s, action))
+                if _point(p.obs_dist(s2)) == obs:
+                    alive[s0] = s2
+        alive_at[h] = alive
+        mass = sum((init[s0] for s0 in alive), _ZERO)
+        yield _ZERO if mass == 0 else sum((weighted[s0] for s0 in alive), _ZERO) / mass
+
+
 def verify_universality(
     spec: PureLearningSpec, target: Pomdp, m: int
 ) -> tuple[bool, History | None]:
@@ -132,12 +157,9 @@ def verify_universality(
     reachable history of length <= m; returns the first differing history
     when they disagree."""
     moved = transfer(spec, target, m)
-    union: set[History] = set()
-    for p in (spec.env, target):
-        for group in reachable_histories(p, m).values():
-            union.update(group)
-    for h in sorted(union, key=history_sort_key):
-        if evaluate(spec, h) != evaluate(moved, h):
+    histories = _all_reachable(spec.env, target, m)
+    for h, before, after in zip(histories, _walk(spec, histories), _walk(moved, histories)):
+        if before != after:
             return False, h
     return True, None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import FiniteDist, History, Pomdp, Rat, StochasticPolicy
+from .core import History, Pomdp, Rat, StochasticPolicy
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,17 +64,6 @@ def history_prob(p: Pomdp, h: History, pi: StochasticPolicy) -> Rat:
     return factor * _state_weights(p, h)
 
 
-def history_prob_from_state(
-    p: Pomdp, h: History, start: str, pi: StochasticPolicy
-) -> Rat:
-    """Probability of `h` under `pi` conditional on the initial state."""
-    p.check_history_symbols(h)
-    factor = _policy_factor(h, pi)
-    if factor == 0:
-        return _ZERO
-    return factor * _state_weights(p, h, start=start)
-
-
 def cond_history_prob(
     p: Pomdp, h_long: History, h_short: History, pi: StochasticPolicy
 ) -> Rat:
@@ -97,13 +86,17 @@ def initial_posterior(p: Pomdp, h: History) -> dict[str, Rat]:
     """Posterior over the initial state given `h`, for every state.
 
     The policy's action factors cancel out of the Bayes ratio, so the result
-    is policy-independent; it is computed with them dropped.  If no policy
-    makes `h` possible, every entry is 0.
+    is policy-independent; it is computed with them dropped.  Only states of
+    positive initial mass are walked; every other state reads 0.  If no
+    policy makes `h` possible, every entry is 0.
     """
     p.check_history_symbols(h)
-    likelihood = {s: _state_weights(p, h, start=s) for s in p.states}
-    joint = {s: p.init.prob(s) * likelihood[s] for s in p.states}
+    joint = {
+        s: p.init.prob(s) * _state_weights(p, h, start=s)
+        for s in p.states
+        if p.init.prob(s) != 0
+    }
     total = sum(joint.values(), _ZERO)
     if total == 0:
         return {s: _ZERO for s in p.states}
-    return {s: joint[s] / total for s in p.states}
+    return {s: joint.get(s, _ZERO) / total for s in p.states}

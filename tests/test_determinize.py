@@ -37,6 +37,25 @@ def fully_deterministic_env():
     )
 
 
+def grouped_by_behavior_map(p, m):
+    """Oracle cells: initial states grouped by `initial_behavior_map`, cells
+    ordered by first member and members by declaration order."""
+    groups = {}
+    for s in p.init.support:
+        groups.setdefault(initial_behavior_map(p, s, m), []).append(s)
+    cells = sorted(
+        (
+            (bm, tuple(sorted(members, key=p.state_index.__getitem__)))
+            for bm, members in groups.items()
+        ),
+        key=lambda cell: p.state_index[cell[1][0]],
+    )
+    return tuple(
+        (bm, members, sum((p.init.prob(s) for s in members), Fraction(0)))
+        for bm, members in cells
+    )
+
+
 class TestIsDeterministic:
     def test_mu_is_not(self, mu):
         assert not is_deterministic(mu)
@@ -174,6 +193,19 @@ class TestBehaviorPartition:
     def test_requires_deterministic(self, mu):
         with pytest.raises(DeterminismError):
             behavior_partition(mu, 1)
+
+    def test_matches_grouping_by_behavior_map(self, rng):
+        # the interned-node grouping against grouping the initial support by
+        # rolled-out behavior maps, at every horizon up to the twin's own
+        for _ in range(4):
+            p = random_pomdp(
+                rng, max_states=3, max_actions=2, horizon_cap=3, resolution_cap=96
+            )
+            for m in (1, 2, 3):
+                d = determinize(p, m)
+                for q in (d, minimize(d, m)):
+                    for k in range(1, m + 1):
+                        assert behavior_partition(q, k).cells == grouped_by_behavior_map(q, k)
 
 
 class TestMinimize:

@@ -9,7 +9,9 @@ from cfpomdp import (
     DeterministicPolicy,
     History,
     InputError,
+    Pomdp,
     PureLearningSpec,
+    SimilarityError,
     cond_history_prob,
     determinize,
     evaluate,
@@ -21,8 +23,10 @@ from cfpomdp import (
     verify_universality,
 )
 from cfpomdp.determinize import behavior_partition
+from cfpomdp.equivalence import _all_reachable
+from cfpomdp.learning import _walk
 
-from helpers import reachable_up_to
+from helpers import random_pomdp, reachable_up_to
 
 STAR_STATES = ("s0^00", "s0^01", "s0^10", "s0^11")
 
@@ -143,6 +147,17 @@ class TestTransfer:
         with pytest.raises(InputError):
             transfer(star_spec(mu_star), target, 1)
 
+    def test_dissimilar_actions_rejected(self, mu_star):
+        # deterministic and otherwise identical, but a1 is renamed to b1
+        rename = {"a0": "a0", "a1": "b1"}
+        target = Pomdp.build(
+            mu_star.states, ("a0", "b1"), mu_star.observations, mu_star.init,
+            {(s, rename[a]): dist for (s, a), dist in mu_star.trans},
+            dict(mu_star.obs),
+        )
+        with pytest.raises(SimilarityError):
+            transfer(star_spec(mu_star), target, 1)
+
     def test_requires_deterministic_target(self, mu, mu_star):
         with pytest.raises(DeterminismError):
             transfer(star_spec(mu_star), mu, 1)
@@ -209,6 +224,26 @@ class TestVerifyUniversality:
         for target in targets:
             ok, differing = verify_universality(spec, target, 1)
             assert ok, f"differs at {differing}"
+
+
+class TestForwardWalk:
+    def test_walk_equals_evaluate(self, rng):
+        # the twin of a random environment, walked over the union of its and
+        # another twin's reachable histories in canonical order, as
+        # verify_universality walks them (so its first differing history is
+        # the one per-history evaluation finds); histories only the other
+        # twin reaches evaluate to 0
+        alphabets = (("a0", "a1"), ("x0", "x1"))
+        for _ in range(4):
+            for m in (1, 2):
+                d, other = (
+                    determinize(random_pomdp(rng, max_states=3, alphabets=alphabets), m)
+                    for _ in range(2)
+                )
+                weights = {s: Fraction(rng.randint(0, 6), 6) for s in d.init.support}
+                spec = PureLearningSpec.of(d, weights, m)
+                histories = _all_reachable(d, other, m)
+                assert list(_walk(spec, histories)) == [evaluate(spec, h) for h in histories]
 
 
 class TestWeightsFiles:
