@@ -31,6 +31,17 @@ def parse_rational(text: str) -> Rat:
     return value
 
 
+def as_rational(value: int | Fraction | str) -> Rat:
+    """An exact rational from an `int`, a `Fraction` or a literal accepted by
+    `parse_rational`.  Floats are rejected: by the time one arrives it has
+    already been rounded to a binary fraction."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise InputError(f"not an exact rational: {value!r} (use an int, a Fraction or 'p/q')")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDist:
     """Finite-support distribution with exact rational weights.
@@ -55,7 +66,7 @@ class FiniteDist:
             if key in seen:
                 raise InputError(f"duplicate entry {key!r} in distribution")
             seen.add(key)
-            out.append((key, Fraction(value)))
+            out.append((key, as_rational(value)))
         return cls(tuple(out))
 
     @classmethod

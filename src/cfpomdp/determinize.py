@@ -5,22 +5,23 @@ minimization it induces.
 The constructed environment has one initial state per reduced resolution of
 the source, carrying that resolution's probability; transitions and
 observations replay the resolution deterministically, with the turn index
-advanced alongside.  Interior states are keyed by their future behavior
-(base state, current observation, and the successor keys per action), so
-resolutions that share a tail share the corresponding states; initial states
-remain in probability-preserving bijection with the reduced support.  States
-at the final turn self-loop under every action with their own observation,
-keeping the transition kernel total without adding pre-horizon behavior.
+advanced alongside.  Replay states are behavior trees labelled by (base
+state, observation), so one state stands for every replay position with the
+same future, and resolutions that share a tail share its states; initial
+states remain in probability-preserving bijection with the reduced support.
+States at the final turn self-loop under every action with their own
+observation, keeping the transition kernel total without adding pre-horizon
+behavior.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteDist, Pomdp, Rat
-from .envpolicy import BehaviorMap, EnvironmentPolicy, enumerate_support
+from .envpolicy import BehaviorMap, behavior_tree, enumerate_support
 from .errors import DeterminismError, InputError
 
 _ZERO = Fraction(0)
@@ -50,83 +51,59 @@ def determinize(p: Pomdp, m: int) -> Pomdp:
     """Build a deterministic environment that is m-counterfactually
     equivalent to `p`, with all randomness moved into the initial
     distribution over per-resolution replay states."""
-    support = enumerate_support(p, m)
-
-    order: list[tuple] = []
-    base_of: dict[tuple, tuple[str, int]] = {}
-    children_of: dict[tuple, tuple[tuple, ...]] = {}
+    # Replay states in first-encounter (pre-order) order, with their turns.
+    turn_of: dict[tuple, int] = {}
     init_mass: dict[tuple, Rat] = {}
 
-    def key_of(ep: EnvironmentPolicy, memo: dict, s: str, turn: int) -> tuple:
-        try:
-            return memo[(s, turn)]
-        except KeyError:
-            pass
-        obs = ep.obs_at(s, turn)
-        if turn == m:
-            key = (s, obs)
-        else:
-            key = (
-                s,
-                obs,
-                tuple(
-                    key_of(ep, memo, ep.next_state(s, a, turn + 1), turn + 1)
-                    for a in p.actions
-                ),
-            )
-        memo[(s, turn)] = key
-        return key
+    def register(node: tuple, turn: int) -> None:
+        if node not in turn_of:
+            turn_of[node] = turn
+            for child in node[1]:
+                register(child, turn + 1)
 
-    def register(key: tuple, s: str, turn: int) -> None:
-        if key in base_of:
-            return
-        order.append(key)
-        base_of[key] = (s, turn)
-        if turn < m:
-            children_of[key] = key[2]
-            for child in key[2]:
-                register(child, child[0], turn + 1)
-
-    for ep, prob in support:
-        memo: dict[tuple[str, int], tuple] = {}
-        root = key_of(ep, memo, ep.init_state, 0)
-        register(root, ep.init_state, 0)
+    for ep, prob in enumerate_support(p, m):
+        node = behavior_tree(p.actions, m, lambda s, t: (s, ep.obs_at(s, t)), ep.next_state)
+        root = node(ep.init_state, 0)
+        register(root, 0)
         init_mass[root] = init_mass.get(root, _ZERO) + prob
 
-    # Name states: base@turn, disambiguated by first-encounter index when the
+    # Name states base@turn, disambiguated by first-encounter index when the
     # same (base, turn) pair carries several distinct behaviors.
-    group_counts: dict[tuple[str, int], int] = {}
-    for key in order:
-        group_counts[base_of[key]] = group_counts.get(base_of[key], 0) + 1
-    counters: dict[tuple[str, int], int] = {}
+    bases = [(node[0][0], turn) for node, turn in turn_of.items()]
+    shared = Counter(bases)
+    seen: Counter[tuple[str, int]] = Counter()
     names: dict[tuple, str] = {}
-    for key in order:
-        s, turn = base_of[key]
-        if group_counts[(s, turn)] == 1:
-            names[key] = f"{s}@{turn}"
+    for node, (s, turn) in zip(turn_of, bases):
+        if shared[(s, turn)] == 1:
+            names[node] = f"{s}@{turn}"
         else:
             # '#' starts a comment in the file format, so disambiguate with '.'
-            j = counters.get((s, turn), 0)
-            counters[(s, turn)] = j + 1
-            names[key] = f"{s}@{turn}.{j}"
+            names[node] = f"{s}@{turn}.{seen[(s, turn)]}"
+            seen[(s, turn)] += 1
 
-    states = tuple(names[key] for key in order)
-    init = FiniteDist.of(
-        [(names[key], mass) for key, mass in init_mass.items()]
-    )
+    init = FiniteDist.of([(names[root], mass) for root, mass in init_mass.items()])
     trans = {}
     obs = {}
-    for key in order:
-        name = names[key]
-        _, turn = base_of[key]
-        obs[name] = FiniteDist.point(key[1])
-        if turn == m:
-            for a in p.actions:
-                trans[(name, a)] = FiniteDist.point(name)
-        else:
-            for a, child in zip(p.actions, children_of[key]):
-                trans[(name, a)] = FiniteDist.point(names[child])
-    return Pomdp.build(states, p.actions, p.observations, init, trans, obs)
+    for node, name in names.items():
+        (_, o), children = node
+        obs[name] = FiniteDist.point(o)
+        targets = [names[child] for child in children] if children else [name] * len(p.actions)
+        for a, target in zip(p.actions, targets):
+            trans[(name, a)] = FiniteDist.point(target)
+    return Pomdp.build(tuple(names.values()), p.actions, p.observations, init, trans, obs)
+
+
+def _maps(p: Pomdp, m: int):
+    """Behavior maps of a deterministic environment's states, built over one
+    shared memo: returns s -> the map of the environment started in s."""
+    actions = tuple(sorted(p.actions))
+    node = behavior_tree(
+        actions,
+        m,
+        lambda s, t: _point(p.obs_dist(s)),
+        lambda s, a, t: _point(p.trans_dist(s, a)),
+    )
+    return lambda s: BehaviorMap(actions, node(s, 0))
 
 
 def initial_behavior_map(p: Pomdp, s: str, m: int) -> BehaviorMap:
@@ -134,21 +111,7 @@ def initial_behavior_map(p: Pomdp, s: str, m: int) -> BehaviorMap:
     each deterministic policy is sent to the unique length-m history it
     generates from there."""
     _require_deterministic(p)
-    if s not in p.state_index:
-        raise InputError(f"unknown state {s!r}")
-    return _rollout_map(p, s, m)
-
-
-def _rollout_map(p: Pomdp, s: str, m: int) -> BehaviorMap:
-    entries = []
-    for actions in itertools.product(p.actions, repeat=m):
-        state = s
-        observations = [_point(p.obs_dist(state))]
-        for a in actions:
-            state = _point(p.trans_dist(state, a))
-            observations.append(_point(p.obs_dist(state)))
-        entries.append((actions, tuple(observations)))
-    return BehaviorMap(horizon=m, response=tuple(sorted(entries)))
+    return _maps(p, m)(s)
 
 
 @dataclass(frozen=True)
@@ -171,39 +134,24 @@ class BehaviorPartition:
 def behavior_partition(p: Pomdp, m: int) -> BehaviorPartition:
     """Partition the initial support by behavior map; cell masses sum to 1.
 
-    States are grouped by an interned behavior node: the node of `s` at turn
-    t is the id of (observation of s, node of each action's successor at
-    t + 1), and a node at turn m has no successors.  Equal behavior maps are
-    exactly equal node ids.  Nodes are memoized over (state, turn), so the
-    grouping costs O(|S|·|A|·m); each cell's behavior map is rolled out once,
-    from its first member."""
+    The maps share one memo, so building them takes O(|S|·|A|·m) steps;
+    hashing a map still visits its |A|^m leaves."""
     _require_deterministic(p)
-    ids: dict[tuple[str, tuple[int, ...]], int] = {}
-    memo: dict[tuple[str, int], int] = {}
-
-    def node(s: str, turn: int) -> int:
-        if (s, turn) not in memo:
-            children = () if turn == m else tuple(
-                node(_point(p.trans_dist(s, a)), turn + 1) for a in p.actions
-            )
-            memo[(s, turn)] = ids.setdefault((_point(p.obs_dist(s)), children), len(ids))
-        return memo[(s, turn)]
-
-    groups: dict[int, list[str]] = {}
+    map_of = _maps(p, m)
+    groups: dict[BehaviorMap, list[str]] = {}
     for s in p.init.support:
-        groups.setdefault(node(s, 0), []).append(s)
+        groups.setdefault(map_of(s), []).append(s)
     cells = sorted(
-        (tuple(sorted(members, key=p.state_index.__getitem__)) for members in groups.values()),
-        key=lambda members: p.state_index[members[0]],
+        (
+            (bm, tuple(sorted(members, key=p.state_index.__getitem__)))
+            for bm, members in groups.items()
+        ),
+        key=lambda cell: p.state_index[cell[1][0]],
     )
     return BehaviorPartition(
         tuple(
-            (
-                _rollout_map(p, members[0], m),
-                members,
-                sum((p.init.prob(s) for s in members), _ZERO),
-            )
-            for members in cells
+            (bm, members, sum((p.init.prob(s) for s in members), _ZERO))
+            for bm, members in cells
         )
     )
 

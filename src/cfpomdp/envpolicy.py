@@ -23,7 +23,6 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
-    enumerate_det_policies,
 )
 from .errors import InputError
 
@@ -162,17 +161,6 @@ def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], 
     return tuple(_iter_support(p, m))
 
 
-def support_size_within(p: Pomdp, m: int, cap: int) -> bool:
-    """True iff the reduced support has at most `cap` policies (enumeration
-    aborts early past the cap)."""
-    count = 0
-    for _ in _iter_support(p, m):
-        count += 1
-        if count > cap:
-            return False
-    return True
-
-
 def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
     """Aggregated probability of a reduced environment policy: the product of
     the environment's probabilities over the recorded entries."""
@@ -246,79 +234,75 @@ def env_policy_posterior(
     return {ep: w / total for ep, w in joint.items()}
 
 
-@dataclass(frozen=True, eq=False)
+class _TreeMemo(dict):
+    """Memo of `behavior_tree`: looking up a missing (state, turn) builds its
+    node.  Unlike a self-recursive closure it makes no reference cycle, which
+    only the cyclic garbage collector would free."""
+
+    def __init__(self, actions, m: int, label, step):
+        self.actions, self.m, self.label, self.step = actions, m, label, step
+
+    def __missing__(self, key: tuple[str, int]) -> tuple:
+        s, t = key
+        children = () if t == self.m else tuple(
+            self[self.step(s, a, t + 1), t + 1] for a in self.actions
+        )
+        node = self[key] = (self.label(s, t), children)
+        return node
+
+
+def behavior_tree(actions, m: int, label, step):
+    """Memoized behavior-tree builder: returns `node`, where node(s, t) is
+    (label(s, t), node(step(s, a, t + 1), t + 1) for each of `actions`), with
+    no children at turn m.  Memoized over (state, turn), so one `node` makes
+    O(|S|·|A|·m) label and step calls in all.  Children are positional: the
+    i-th child answers the i-th action.
+    """
+    if m < 0:
+        raise InputError(f"turn count must be >= 0, got {m}")
+    memo = _TreeMemo(actions, m, label, step)
+    return lambda s, t: memo[s, t]
+
+
+@dataclass(frozen=True)
 class BehaviorMap:
     """The function sending each deterministic policy to the length-m history
     it generates inside a fixed resolution (or from a fixed initial state of
     a deterministic environment).
 
-    Canonically represented by the response function from action sequences to
-    observation sequences, which determines the policy-to-history assignment
-    and is comparable across environments sharing alphabets.
+    Represented by its behavior tree over the sorted action alphabet: nodes
+    are (observation, one child per action), without children at turn m.
+    Trees are comparable across environments sharing alphabets and compare
+    in pre-order, the lexicographic order of observation sequences by action
+    sequence.
     """
 
-    horizon: int
-    response: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-
-    @cached_property
-    def _resp(self) -> dict[tuple[str, ...], tuple[str, ...]]:
-        return dict(self.response)
+    actions: tuple[str, ...]
+    tree: tuple
 
     def history_for(self, pi: DeterministicPolicy) -> History:
-        """Unfold the response function along a deterministic policy."""
-        actions: list[str] = []
-        h: History | None = None
-        for _ in range(self.horizon):
-            prefix = self._history_from(tuple(actions))
-            actions.append(pi.action_at(prefix))
-        return self._history_from(tuple(actions))
-
-    def _history_from(self, actions: tuple[str, ...]) -> History:
-        # Observations depend only on the action prefix, so pad with any key.
-        for full, observations in self.response:
-            if full[: len(actions)] == actions:
-                h = History(observations[0])
-                for t, a in enumerate(actions):
-                    h = h.extend(a, observations[t + 1])
-                return h
-        raise InputError(f"action sequence {actions} outside the behavior map")
-
-    def assignment(self, p: Pomdp) -> dict[DeterministicPolicy, History]:
-        """Materialize the policy-to-history map over all deterministic
-        policies of `p` at this horizon."""
-        return {pi: self.history_for(pi) for pi in enumerate_det_policies(p, self.horizon)}
+        """Walk the tree down along a deterministic policy."""
+        obs, children = self.tree
+        h = History(obs)
+        while children:
+            action = pi.action_at(h)
+            if action not in self.actions:
+                raise InputError(f"action {action!r} outside the behavior map")
+            obs, children = children[self.actions.index(action)]
+            h = h.extend(action, obs)
+        return h
 
     def histories(self) -> tuple[History, ...]:
-        """All histories in the image of the map, one per action sequence."""
-        out = []
-        for actions, observations in self.response:
-            h = History(observations[0])
-            for t, a in enumerate(actions):
-                h = h.extend(a, observations[t + 1])
-            out.append(h)
-        return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BehaviorMap):
-            return NotImplemented
-        return self.horizon == other.horizon and self.response == other.response
-
-    def __hash__(self) -> int:
-        return hash((self.horizon, self.response))
-
-
-def _response_of(
-    p: Pomdp, ep: EnvironmentPolicy, m: int
-) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-    entries = []
-    for actions in itertools.product(p.actions, repeat=m):
-        state = ep.init_state
-        observations = [ep.obs_at(state, 0)]
-        for turn, action in enumerate(actions, start=1):
-            state = ep.next_state(state, action, turn)
-            observations.append(ep.obs_at(state, turn))
-        entries.append((actions, tuple(observations)))
-    return tuple(sorted(entries))
+        """All histories in the image of the map, one per action sequence,
+        in lexicographic order of the action sequences."""
+        level = [(History(self.tree[0]), self.tree[1])]
+        while level[0][1]:
+            level = [
+                (h.extend(a, obs), grandchildren)
+                for h, children in level
+                for a, (obs, grandchildren) in zip(self.actions, children)
+            ]
+        return tuple(h for h, _ in level)
 
 
 def behavior_map(p: Pomdp, ep: EnvironmentPolicy, m: int) -> BehaviorMap:
@@ -328,7 +312,9 @@ def behavior_map(p: Pomdp, ep: EnvironmentPolicy, m: int) -> BehaviorMap:
         raise InputError(
             f"turn count {m} does not match environment policy horizon {ep.horizon}"
         )
-    return BehaviorMap(horizon=m, response=_response_of(p, ep, m))
+    actions = tuple(sorted(p.actions))
+    node = behavior_tree(actions, m, ep.obs_at, ep.next_state)
+    return BehaviorMap(actions, node(ep.init_state, 0))
 
 
 def count_env_policies(p: Pomdp, m: int, convention: str = "full") -> int:

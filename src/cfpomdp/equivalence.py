@@ -15,7 +15,7 @@ deterministic pairs has, as its joint probability, the total mass of the
 behavior maps consistent with every pair, so the behavior-map distribution
 determines all collection probabilities (stochastic policies reduce to
 convex combinations of deterministic ones); conversely the distribution is
-recovered from collections that pin down a full response function.  The
+recovered from collections that pin down a full behavior map.  The
 direct sum over resolutions stays available as `collection_prob` and serves
 as the oracle in the test suite.
 """
@@ -196,7 +196,7 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     probabilities are the two differing masses.
 
     Among differing maps the witness prefers one that is impossible in one
-    environment (smallest minimum mass), breaking ties by response; the
+    environment (smallest minimum mass), breaking ties by behavior tree; the
     returned query re-evaluates, via `collection_prob`, to exactly the two
     reported values.
     """
@@ -214,7 +214,7 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     ]
     bm = min(
         differing,
-        key=lambda b: (min(d1.get(b, _ZERO), d2.get(b, _ZERO)), b.response),
+        key=lambda b: (min(d1.get(b, _ZERO), d2.get(b, _ZERO)), b.tree),
     )
     return Verdict(
         equivalent=False,

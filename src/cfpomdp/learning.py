@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import History, Pomdp, Rat, parse_rational
+from .core import History, Pomdp, Rat, as_rational, parse_rational
 from .determinize import _point, behavior_partition, is_deterministic
 from .equivalence import _all_reachable, ensure_similar
 from .errors import DeterminismError, InputError
@@ -66,7 +66,7 @@ class PureLearningSpec:
     def of(cls, env: Pomdp, weights, horizon: int) -> "PureLearningSpec":
         items = weights.items() if hasattr(weights, "items") else weights
         ordered = sorted(
-            ((s, Fraction(w)) for s, w in items),
+            ((s, as_rational(w)) for s, w in items),
             key=lambda kv: env.state_index.get(kv[0], len(env.states)),
         )
         return cls(env, tuple(ordered), horizon)
@@ -150,18 +150,25 @@ def _walk(spec: PureLearningSpec, histories: list[History]):
         yield _ZERO if mass == 0 else sum((weighted[s0] for s0 in alive), _ZERO) / mass
 
 
+def _first_difference(spec: PureLearningSpec, moved: PureLearningSpec) -> History | None:
+    """The first reachable history of length <= `spec.horizon`, in canonical
+    order over both environments, on which `moved` (a transfer of `spec` to
+    `moved.env`) disagrees with `spec`; None when they agree everywhere."""
+    histories = _all_reachable(spec.env, moved.env, spec.horizon)
+    for h, before, after in zip(histories, _walk(spec, histories), _walk(moved, histories)):
+        if before != after:
+            return h
+    return None
+
+
 def verify_universality(
     spec: PureLearningSpec, target: Pomdp, m: int
 ) -> tuple[bool, History | None]:
     """Check that the transferred process agrees with the original on every
     reachable history of length <= m; returns the first differing history
     when they disagree."""
-    moved = transfer(spec, target, m)
-    histories = _all_reachable(spec.env, target, m)
-    for h, before, after in zip(histories, _walk(spec, histories), _walk(moved, histories)):
-        if before != after:
-            return False, h
-    return True, None
+    differing = _first_difference(spec, transfer(spec, target, m))
+    return differing is None, differing
 
 
 def load_weights(path: str | Path) -> dict[str, Rat]:

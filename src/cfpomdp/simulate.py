@@ -27,18 +27,6 @@ class SimulationResult:
     # one entry per observed joint outcome: histories, count, exact probability
     outcomes: tuple[tuple[tuple[History, ...], int, Rat], ...]
 
-    def frequency(self, joint: tuple[History, ...]) -> Fraction:
-        for histories, count, _ in self.outcomes:
-            if histories == joint:
-                return Fraction(count, self.episodes)
-        return Fraction(0)
-
-    def exact(self, joint: tuple[History, ...]) -> Rat | None:
-        for histories, _, exact in self.outcomes:
-            if histories == joint:
-                return exact
-        return None
-
 
 def simulate(
     p: Pomdp,

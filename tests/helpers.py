@@ -18,7 +18,7 @@ from cfpomdp import (
     Pomdp,
     StochasticPolicy,
 )
-from cfpomdp.envpolicy import support_size_within
+from cfpomdp.envpolicy import _iter_support
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -141,7 +141,61 @@ def brute_collection_prob(p: Pomdp, pairs, m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# oracle: behavior maps by explicit rollout of every action sequence
+
+
+def brute_rollouts(p: Pomdp, m: int, start: str, obs_at, next_state) -> tuple[History, ...]:
+    """The history of every length-m action sequence from `start`, rolled out
+    one sequence at a time, in lexicographic order of the sequences over the
+    sorted action alphabet.  `obs_at(s, turn)` and `next_state(s, a, turn)`
+    have the signatures of `EnvironmentPolicy.obs_at` and `.next_state`."""
+    out = []
+    for actions in itertools.product(sorted(p.actions), repeat=m):
+        state = start
+        h = History(obs_at(state, 0))
+        for turn, action in enumerate(actions, start=1):
+            state = next_state(state, action, turn)
+            h = h.extend(action, obs_at(state, turn))
+        out.append(h)
+    return tuple(out)
+
+
+def resolution_rollouts(p: Pomdp, ep, m: int) -> tuple[History, ...]:
+    """`brute_rollouts` through one resolution."""
+    return brute_rollouts(p, m, ep.init_state, ep.obs_at, ep.next_state)
+
+
+def det_rollouts(p: Pomdp, s: str, m: int) -> tuple[History, ...]:
+    """`brute_rollouts` of a deterministic environment started in `s`."""
+    return brute_rollouts(
+        p,
+        m,
+        s,
+        lambda state, _: p.obs_dist(state).support[0],
+        lambda state, action, _: p.trans_dist(state, action).support[0],
+    )
+
+
+def brute_response(histories) -> tuple:
+    """The response function of a behavior map: rows (action sequence,
+    observation sequence) in lexicographic order.  Comparing these orders
+    behavior maps."""
+    return tuple(sorted((h.actions, h.observations) for h in histories))
+
+
+# ---------------------------------------------------------------------------
 # random environments and policies
+
+
+def support_size_within(p: Pomdp, m: int, cap: int) -> bool:
+    """True iff the reduced support has at most `cap` policies (enumeration
+    aborts early past the cap)."""
+    count = 0
+    for _ in _iter_support(p, m):
+        count += 1
+        if count > cap:
+            return False
+    return True
 
 
 def random_dist(rng: random.Random, pool, max_support: int = 2) -> dict[str, Fraction]:

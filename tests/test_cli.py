@@ -201,6 +201,30 @@ class TestLearnCommands:
         assert len(moved) == 4
         assert sorted(moved.values()) == ["0", "1", "1/3", "2/5"]
 
+    def test_learn_transfer_verify_transfers_once(self, runner, tmp_path, monkeypatch):
+        import cfpomdp.cli
+        import cfpomdp.learning
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transfer(*args)
+
+        transfer = cfpomdp.learning.transfer
+        monkeypatch.setattr(cfpomdp.cli, "transfer", counted)
+        monkeypatch.setattr(cfpomdp.learning, "transfer", counted)
+        weights = tmp_path / "w.txt"
+        weights.write_text("s0^00 1\ns0^01 0\ns0^10 1/2\ns0^11 0\n")
+        det = tmp_path / "det.env"
+        invoke(runner, "determinize", MU, "--m", "1", "-o", str(det))
+        result = invoke(
+            runner, "learn-transfer", MU_STAR, str(det), "--m", "1",
+            "--weights", str(weights), "-o", str(tmp_path / "moved.txt"), "--verify",
+        )
+        assert "universality: verified" in result.output
+        assert len(calls) == 1
+
     def test_learn_transfer_inequivalent_exit_two(self, runner, tmp_path):
         weights = tmp_path / "w.txt"
         weights.write_text("s0^00 1\ns0^01 0\ns0^10 0\ns0^11 0\n")

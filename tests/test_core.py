@@ -52,6 +52,14 @@ class TestFiniteDist:
         with pytest.raises(InputError):
             FiniteDist.of([("a", Fraction(1, 2)), ("a", Fraction(1, 2))])
 
+    def test_floats_rejected(self):
+        # 0.1 and 0.9 are binary fractions whose sum is not exactly 1
+        with pytest.raises(InputError):
+            FiniteDist.of({"x": 0.1, "y": 0.9})
+        exact = FiniteDist.of({"x": "1/10", "y": Fraction(9, 10)})
+        assert exact.total() == 1
+        assert FiniteDist.of([("x", 1)]).is_point()
+
     def test_problems(self):
         bad = FiniteDist.of([("a", Fraction(3, 4))])
         assert any("sum" in problem for problem in bad.problems())

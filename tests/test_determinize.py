@@ -5,6 +5,7 @@ import pytest
 from cfpomdp import (
     DeterminismError,
     FiniteDist,
+    InputError,
     Pomdp,
     behavior_distribution,
     behavior_map,
@@ -20,7 +21,7 @@ from cfpomdp import (
     validate,
 )
 
-from helpers import random_pomdp, tiny_two_state
+from helpers import det_rollouts, random_pomdp, tiny_two_state
 
 
 def fully_deterministic_env():
@@ -38,21 +39,22 @@ def fully_deterministic_env():
 
 
 def grouped_by_behavior_map(p, m):
-    """Oracle cells: initial states grouped by `initial_behavior_map`, cells
-    ordered by first member and members by declaration order."""
+    """Oracle cells: initial states grouped by their brute-force rollouts of
+    every action sequence, cells ordered by first member and members by
+    declaration order, each with its rollouts and mass."""
     groups = {}
     for s in p.init.support:
-        groups.setdefault(initial_behavior_map(p, s, m), []).append(s)
+        groups.setdefault(det_rollouts(p, s, m), []).append(s)
     cells = sorted(
         (
-            (bm, tuple(sorted(members, key=p.state_index.__getitem__)))
-            for bm, members in groups.items()
+            (histories, tuple(sorted(members, key=p.state_index.__getitem__)))
+            for histories, members in groups.items()
         ),
         key=lambda cell: p.state_index[cell[1][0]],
     )
     return tuple(
-        (bm, members, sum((p.init.prob(s) for s in members), Fraction(0)))
-        for bm, members in cells
+        (histories, members, sum((p.init.prob(s) for s in members), Fraction(0)))
+        for histories, members in cells
     )
 
 
@@ -133,15 +135,9 @@ class TestDeterminize:
 class TestInitialBehaviorMap:
     def test_mu_star_cells(self, mu_star):
         bm00 = initial_behavior_map(mu_star, "s0^00", 1)
-        assert dict(bm00.response) == {
-            ("a0",): ("o0", "s00"),
-            ("a1",): ("o0", "s10"),
-        }
+        assert [str(h) for h in bm00.histories()] == ["o0 a0 s00", "o0 a1 s10"]
         bm11 = initial_behavior_map(mu_star, "s0^11", 1)
-        assert dict(bm11.response) == {
-            ("a0",): ("o0", "s01"),
-            ("a1",): ("o0", "s11"),
-        }
+        assert [str(h) for h in bm11.histories()] == ["o0 a0 s01", "o0 a1 s11"]
 
     def test_single_choice_environment(self):
         p = Pomdp.build(
@@ -151,11 +147,15 @@ class TestInitialBehaviorMap:
             {"s": {"x": Fraction(1)}},
         )
         bm = initial_behavior_map(p, "s", 2)
-        assert dict(bm.response) == {("a", "a"): ("x", "x", "x")}
+        assert [str(h) for h in bm.histories()] == ["x a x a x"]
 
     def test_requires_deterministic(self, mu):
         with pytest.raises(DeterminismError):
             initial_behavior_map(mu, "s0", 1)
+
+    def test_unknown_state_rejected(self, mu_star):
+        with pytest.raises(InputError):
+            initial_behavior_map(mu_star, "nowhere", 1)
 
 
 class TestBehaviorPartition:
@@ -195,8 +195,8 @@ class TestBehaviorPartition:
             behavior_partition(mu, 1)
 
     def test_matches_grouping_by_behavior_map(self, rng):
-        # the interned-node grouping against grouping the initial support by
-        # rolled-out behavior maps, at every horizon up to the twin's own
+        # the behavior-tree grouping against grouping the initial support by
+        # brute-force rollouts, at every horizon up to the twin's own
         for _ in range(4):
             p = random_pomdp(
                 rng, max_states=3, max_actions=2, horizon_cap=3, resolution_cap=96
@@ -205,7 +205,11 @@ class TestBehaviorPartition:
                 d = determinize(p, m)
                 for q in (d, minimize(d, m)):
                     for k in range(1, m + 1):
-                        assert behavior_partition(q, k).cells == grouped_by_behavior_map(q, k)
+                        cells = tuple(
+                            (bm.histories(), members, mass)
+                            for bm, members, mass in behavior_partition(q, k).cells
+                        )
+                        assert cells == grouped_by_behavior_map(q, k)
 
 
 class TestMinimize:

@@ -19,14 +19,17 @@ from cfpomdp import (
     history_prob_given_ep,
     rollout,
 )
+from cfpomdp.core import decision_points
 
 from helpers import (
+    brute_response,
     full_resolutions,
     random_det_policy,
     random_pomdp,
     random_stochastic_policy,
     reachable_up_to,
     reduce_resolution,
+    resolution_rollouts,
     tiny_three_state,
     tiny_two_state,
 )
@@ -248,18 +251,19 @@ class TestBehaviorMap:
     def test_mu_double_prime_behavior_map(self, mu_double_prime):
         support = enumerate_support(mu_double_prime, 1)
         bm = behavior_map(mu_double_prime, support[0][0], 1)
-        assignment = bm.assignment(mu_double_prime)
         rendered = {
-            pi.action_at(History.parse("o0")): str(h) for pi, h in assignment.items()
+            pi.action_at(History.parse("o0")): str(bm.history_for(pi))
+            for pi in enumerate_det_policies(mu_double_prime, 1)
         }
         assert rendered == {"a0": "o0 a0 s00", "a1": "o0 a1 s10"}
 
     def test_assignment_total_on_policy_enumeration(self, mu):
+        policies = enumerate_det_policies(mu, 2)
         for ep, _ in enumerate_support(mu, 2):
             bm = behavior_map(mu, ep, 2)
-            assignment = bm.assignment(mu)
-            assert set(assignment) == set(enumerate_det_policies(mu, 2))
-            assert all(h.length == 2 for h in assignment.values())
+            histories = [bm.history_for(pi) for pi in policies]
+            assert all(h.length == 2 for h in histories)
+            assert set(histories) == set(bm.histories())
 
     def test_assignment_matches_rollout(self, rng):
         p = random_pomdp(rng)
@@ -271,6 +275,36 @@ class TestBehaviorMap:
     def test_horizon_mismatch_rejected(self, mu):
         with pytest.raises(InputError):
             behavior_map(mu, mu_ep(0, 0), 2)
+
+    def test_matches_brute_force_rollouts(self, corpus, rng):
+        # against rolling out every action sequence one by one: the image in
+        # order, the history of every policy (or of 50 random ones when there
+        # are too many), and the order of maps by their response functions
+        envs = list(corpus.values()) + [
+            random_pomdp(
+                rng, max_states=3, horizon_cap=3, resolution_cap=96,
+                alphabets=(actions, ("x0", "x1")),
+            )
+            for actions in (("a0", "a1"), ("a1", "a0")) * 2
+        ]
+        for m in (1, 2, 3):
+            responses = {}
+            for p in envs:
+                if len(p.actions) ** len(decision_points(p, m)) <= 2**10:
+                    policies = enumerate_det_policies(p, m)
+                else:
+                    policies = [random_det_policy(p, m, rng) for _ in range(50)]
+                for ep, _ in enumerate_support(p, m):
+                    bm = behavior_map(p, ep, m)
+                    rollouts = resolution_rollouts(p, ep, m)
+                    assert bm.histories() == rollouts
+                    for pi in policies:
+                        assert bm.history_for(pi) == rollout(p, ep, pi)
+                    alphabets = (frozenset(p.actions), p.observations)
+                    responses.setdefault(alphabets, {})[bm] = brute_response(rollouts)
+            for maps in responses.values():
+                assert len(set(maps.values())) == len(maps)
+                assert sorted(maps, key=lambda bm: bm.tree) == sorted(maps, key=maps.__getitem__)
 
 
 class TestCountEnvPolicies:

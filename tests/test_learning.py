@@ -59,6 +59,12 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             PureLearningSpec.of(mu_star, weights, 1)
 
+    def test_rejects_float_weights(self, mu_star):
+        with pytest.raises(InputError):
+            star_spec(mu_star, {s: 0.1 for s in STAR_STATES})
+        spec = star_spec(mu_star, {s: "1/10" for s in STAR_STATES})
+        assert all(w == Fraction(1, 10) for _, w in spec.weights)
+
     def test_rejects_alien_states(self, mu_star):
         weights = {s: Fraction(1, 4) for s in STAR_STATES}
         weights["nowhere"] = Fraction(0)
