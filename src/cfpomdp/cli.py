@@ -42,6 +42,7 @@ from .learning import (
     transfer,
 )
 from .simulate import simulate as run_simulation
+from .trajectory import initial_posterior
 
 
 def _fail(message: str) -> "SystemExit":
@@ -60,10 +61,6 @@ def handle_input_errors(f):
             raise _fail(str(exc))
 
     return wrapper
-
-
-def _load(path: str) -> Pomdp:
-    return load_env(path)
 
 
 def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
@@ -151,7 +148,7 @@ def validate(file):
 def equiv(file1, file2, m):
     """Decide whether two environments look identical to a single agent for
     the first M turns."""
-    verdict = check_equiv(_load(file1), _load(file2), m)
+    verdict = check_equiv(load_env(file1), load_env(file2), m)
     if verdict.equivalent:
         click.echo("equivalent")
         return
@@ -169,7 +166,7 @@ def equiv(file1, file2, m):
 def cf_equiv(file1, file2, m, witness):
     """Decide whether two environments look identical to any number of
     agents sharing the same resolution for the first M turns."""
-    verdict = check_cf_equiv(_load(file1), _load(file2), m)
+    verdict = check_cf_equiv(load_env(file1), load_env(file2), m)
     if verdict.equivalent:
         click.echo("equivalent")
         return
@@ -189,7 +186,7 @@ def cf_equiv(file1, file2, m, witness):
 def determinize(file, m, out, do_minimize):
     """Construct a deterministic environment counterfactually equivalent to
     FILE at horizon M and write it to OUT."""
-    result = determinize_env(_load(file), m)
+    result = determinize_env(load_env(file), m)
     if do_minimize:
         result = minimize_env(result, m)
     save_env(out, result)
@@ -211,7 +208,7 @@ def determinize(file, m, out, do_minimize):
 def env_policies(file, m, count_only, convention):
     """List the positive-probability resolutions of FILE's randomness, or
     count all unreduced ones."""
-    p = _load(file)
+    p = load_env(file)
     if count_only:
         click.echo(str(count_env_policies(p, m, convention)))
         return
@@ -228,9 +225,7 @@ def env_policies(file, m, count_only, convention):
 @handle_input_errors
 def posterior(file, history_text):
     """Posterior over the initial state given a history."""
-    from .trajectory import initial_posterior
-
-    p = _load(file)
+    p = load_env(file)
     post = initial_posterior(p, History.parse(history_text))
     for s in p.states:
         click.echo(f"{s} {post[s]}")
@@ -245,7 +240,7 @@ def posterior(file, history_text):
 def collection_prob_cmd(file, m, pairs):
     """Joint probability that agents sharing one resolution each see their
     paired history."""
-    p = _load(file)
+    p = load_env(file)
     parsed = []
     for pair in pairs:
         if ";" not in pair:
@@ -268,7 +263,7 @@ def collection_prob_cmd(file, m, pairs):
 @handle_input_errors
 def learn(file, m, weights_path, history_text):
     """Evaluate a pure learning process on one history."""
-    p = _load(file)
+    p = load_env(file)
     spec = PureLearningSpec.of(p, load_weights(weights_path), m)
     click.echo(str(evaluate(spec, History.parse(history_text))))
 
@@ -286,8 +281,8 @@ def learn(file, m, weights_path, history_text):
 def learn_transfer(src, tgt, m, weights_path, out, verify):
     """Transfer a pure learning process from SRC to the counterfactually
     equivalent deterministic environment TGT; write the new weights to OUT."""
-    source = _load(src)
-    target = _load(tgt)
+    source = load_env(src)
+    target = load_env(tgt)
     spec = PureLearningSpec.of(source, load_weights(weights_path), m)
     moved = transfer(spec, target, m)
     save_weights(out, moved.weights)
@@ -313,7 +308,7 @@ def learn_transfer(src, tgt, m, weights_path, out, verify):
 def simulate(file, m, agents, policies, episodes, seed):
     """Monte Carlo cross-check: sample shared resolutions and compare joint
     frequencies with their exact probabilities."""
-    p = _load(file)
+    p = load_env(file)
     if agents < 1:
         raise InputError(f"agents must be >= 1, got {agents}")
     if len(policies) != agents:

@@ -10,7 +10,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -340,50 +340,59 @@ def validate(p: Pomdp) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reachable_supports(p: Pomdp, m: int) -> tuple[dict[History, frozenset[str]], ...]:
-    """For each length 0..m, map each positive-probability history to the
-    support of the current state given that history."""
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
-    layer: dict[History, frozenset[str]] = {}
-    for s, w in p.init.entries:
+def _observe(p: Pomdp, arrivals) -> dict[str, dict[str, Rat]]:
+    """Split weighted (state, weight) arrivals by the observation each state
+    emits: observation -> unnormalized belief {state: weight}.  Only
+    positive weights count."""
+    out: dict[str, dict[str, Rat]] = {}
+    for s, w in arrivals:
         if w <= 0:
             continue
         for o, wo in p.obs_dist(s).entries:
-            if wo <= 0:
-                continue
-            h = History(o)
-            layer[h] = layer.get(h, frozenset()) | {s}
-    layers = [layer]
+            if wo > 0:
+                belief = out.setdefault(o, {})
+                belief[s] = belief.get(s, 0) + w * wo
+    return out
+
+
+def _moved(p: Pomdp, belief: Mapping[str, Rat], a: str) -> Iterable[tuple[str, Rat]]:
+    """The weighted arrivals after playing `a` from `belief`."""
+    for s, w in belief.items():
+        for s2, wt in p.trans_dist(s, a).entries:
+            yield s2, w * wt
+
+
+def _forward(p: Pomdp, m: int, start=None) -> list[dict[History, dict[str, Rat]]]:
+    """For each length 0..m, map each history of positive weight to its
+    unnormalized belief over the current state, α(h·a·o) = α(h)·T_a·O_o.
+    `start` is (state, weight) pairs replacing the initial distribution."""
+    if m < 0:
+        raise InputError(f"turn count must be >= 0, got {m}")
+    start = p.init.entries if start is None else start
+    layers = [{History(o): b for o, b in _observe(p, start).items()}]
     for _ in range(m):
-        nxt: dict[History, frozenset[str]] = {}
-        for h, support in layers[-1].items():
-            for a in p.actions:
-                dests: dict[str, set[str]] = {}
-                for s in support:
-                    for s2, w in p.trans_dist(s, a).entries:
-                        if w <= 0:
-                            continue
-                        for o, wo in p.obs_dist(s2).entries:
-                            if wo <= 0:
-                                continue
-                            dests.setdefault(o, set()).add(s2)
-                for o, ss in dests.items():
-                    h2 = h.extend(a, o)
-                    nxt[h2] = nxt.get(h2, frozenset()) | ss
-        layers.append(nxt)
-    return tuple(layers)
+        layers.append({
+            h.extend(a, o): b
+            for h, belief in layers[-1].items()
+            for a in p.actions
+            for o, b in _observe(p, _moved(p, belief, a)).items()
+        })
+    return layers
+
+
+def history_weights(p: Pomdp, m: int, start=None) -> dict[History, Rat]:
+    """The weight of every history of positive weight up to length m: its
+    probability with every policy factor dropped (see `_forward`)."""
+    return {h: sum(b.values()) for layer in _forward(p, m, start) for h, b in layer.items()}
 
 
 def reachable_histories(p: Pomdp, m: int) -> dict[int, tuple[History, ...]]:
     """Histories of positive probability under some policy, grouped by length
     0..m, each group in canonical order.  Computed by forward closure over
-    the supports of the initial, transition, and observation kernels."""
-    layers = _reachable_supports(p, m)
+    the initial, transition, and observation kernels."""
     return {
         t: tuple(sorted(layer.keys(), key=p.history_key))
-        for t, layer in enumerate(layers)
+        for t, layer in enumerate(_forward(p, m))
     }
 
 

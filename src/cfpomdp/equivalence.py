@@ -2,11 +2,13 @@
 
 m-equivalence: two similar environments assign the same conditional
 probability to every pair of histories up to length m, under every policy.
-Checked through prefix pairs only (non-extensions condition to 0 on both
-sides) and through one action-script policy per pair: every other policy's
-conditional is either the same ratio of policy-free weights or trivially
-equal on both sides, because history probabilities are multilinear in the
-per-history action probabilities.
+Only prefix pairs h' of h matter (non-extensions condition to 0 on both
+sides), and there every policy's conditional is either w(h)/w(h'), a ratio
+of policy-free weights (`core.history_weights`), or trivially equal on both
+sides, because history probabilities are multilinear in the per-history
+action probabilities.  As w(h)/w(h') = [w(h)/w(o0)] / [w(h')/w(o0)], each
+history is compared once, relative to its initial observation o0; a failure
+is the pair (h, o0) under the policy playing h's own actions.
 
 m-counterfactual equivalence: joint probabilities over a shared resolution
 agree for every finite collection of (history, policy) pairs.  Decided by
@@ -32,7 +34,7 @@ from .core import (
     Rat,
     StochasticPolicy,
     history_sort_key,
-    reachable_histories,
+    history_weights,
 )
 from .envpolicy import (
     BehaviorMap,
@@ -41,7 +43,6 @@ from .envpolicy import (
     history_prob_given_ep,
 )
 from .errors import InputError, SimilarityError
-from .trajectory import history_prob
 
 _ZERO = Fraction(0)
 
@@ -103,52 +104,25 @@ def ensure_similar(p1: Pomdp, p2: Pomdp) -> None:
         )
 
 
-def _all_reachable(p1: Pomdp, p2: Pomdp, m: int) -> list[History]:
-    """Union of both reachable-history sets up to length m, in an
-    environment-independent canonical order."""
-    union: set[History] = set()
-    for p in (p1, p2):
-        for group in reachable_histories(p, m).values():
-            union.update(group)
-    return sorted(union, key=history_sort_key)
-
-
-def _weight(cache: dict, p: Pomdp, h: History) -> Rat:
-    """Policy-free weight of `h`: its probability under its own action
-    script."""
-    try:
-        return cache[h]
-    except KeyError:
-        value = history_prob(p, h, DeterministicPolicy.script(h).as_stochastic())
-        cache[h] = value
-        return value
-
-
 def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     """Decide m-equivalence, with a conditional-probability witness on
     failure."""
     ensure_similar(p1, p2)
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
-    cache1: dict[History, Rat] = {}
-    cache2: dict[History, Rat] = {}
-    for h_long in _all_reachable(p1, p2, m):
-        for h_short in h_long.prefixes():
-            w1_short = _weight(cache1, p1, h_short)
-            w2_short = _weight(cache2, p2, h_short)
-            v1 = _ZERO if w1_short == 0 else _weight(cache1, p1, h_long) / w1_short
-            v2 = _ZERO if w2_short == 0 else _weight(cache2, p2, h_long) / w2_short
-            if v1 != v2:
-                return Verdict(
-                    equivalent=False,
-                    witness=ConditionalWitness(
-                        h_long=h_long,
-                        h_short=h_short,
-                        policy=DeterministicPolicy.script(h_long),
-                        value_left=v1,
-                        value_right=v2,
-                    ),
-                )
+    w1, w2 = history_weights(p1, m), history_weights(p2, m)
+
+    def relative(w: dict[History, Rat], h: History) -> Rat:
+        base = w.get(h.prefix(0), _ZERO)
+        return _ZERO if base == 0 else w.get(h, _ZERO) / base
+
+    for h in sorted(w1.keys() | w2.keys(), key=history_sort_key):
+        v1, v2 = relative(w1, h), relative(w2, h)
+        if v1 != v2:
+            return Verdict(
+                equivalent=False,
+                witness=ConditionalWitness(
+                    h, h.prefix(0), DeterministicPolicy.script(h), v1, v2
+                ),
+            )
     return Verdict(equivalent=True)
 
 

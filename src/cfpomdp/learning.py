@@ -13,6 +13,11 @@ the partition masses alone: every resolution of such an environment is an
 initial state with that state's probability, so its behavior-map
 distribution is exactly `behavior_partition(env, m).masses()`.  `transfer`
 compares those masses instead of calling `check_cf_equiv`.
+
+The value is linear in the start vector: with w(h | start) the weight of h
+from a start vector (`core.history_weights`), P(h) = w(h | init * w) /
+w(h | init).  `evaluate` folds both along one history; `verify_universality`
+compares the ratios of two forward passes per environment.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from functools import cached_property
 from pathlib import Path
 
 from .core import History, Pomdp, Rat, as_rational, parse_rational
-from .determinize import _point, behavior_partition, is_deterministic
-from .equivalence import _all_reachable, ensure_similar
+from .core import history_sort_key, history_weights
+from .determinize import behavior_partition, is_deterministic
+from .equivalence import ensure_similar
 from .errors import DeterminismError, InputError
-from .trajectory import initial_posterior
+from .trajectory import _weight
 
 _ZERO = Fraction(0)
 
@@ -76,6 +82,11 @@ class PureLearningSpec:
         return dict(self.weights)
 
 
+def _start(spec: PureLearningSpec) -> list[tuple[str, Rat]]:
+    """The initial distribution scaled state by state by the weights."""
+    return [(s, spec.env.init.prob(s) * w) for s, w in spec.weights]
+
+
 def evaluate(spec: PureLearningSpec, h: History) -> Rat:
     """Value of the learning process on `h`: the weight average under the
     posterior over initial states.  Impossible histories evaluate to 0."""
@@ -83,11 +94,9 @@ def evaluate(spec: PureLearningSpec, h: History) -> Rat:
         raise InputError(
             f"history length {h.length} exceeds the horizon {spec.horizon}"
         )
-    posterior = initial_posterior(spec.env, h)
-    return sum(
-        (w * posterior[s] for s, w in spec.weights),
-        _ZERO,
-    )
+    spec.env.check_history_symbols(h)
+    total = _weight(spec.env, h)
+    return _ZERO if total == 0 else _weight(spec.env, h, _start(spec)) / total
 
 
 def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
@@ -123,40 +132,23 @@ def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
     return PureLearningSpec.of(target, new_weights, m)
 
 
-def _walk(spec: PureLearningSpec, histories: list[History]):
-    """Yield `evaluate(spec, h)` for each of `histories`, which are in
-    canonical order and closed under taking prefixes.
-
-    A history keeps {surviving initial state: current state}, extended from
-    its parent's by one deterministic step; its value is the init-weighted
-    average of the survivors' weights, and 0 when none survive.
-    """
-    p = spec.env
-    init = {s: p.init.prob(s) for s in p.init.support}
-    weighted = {s: init[s] * spec._weights[s] for s in init}
-    alive_at: dict[History, dict[str, str]] = {}
-    for h in histories:
-        if h.length == 0:
-            alive = {s: s for s in init if _point(p.obs_dist(s)) == h.initial_obs}
-        else:
-            action, obs = h.steps[-1]
-            alive = {}
-            for s0, s in alive_at[h.prefix(h.length - 1)].items():
-                s2 = _point(p.trans_dist(s, action))
-                if _point(p.obs_dist(s2)) == obs:
-                    alive[s0] = s2
-        alive_at[h] = alive
-        mass = sum((init[s0] for s0 in alive), _ZERO)
-        yield _ZERO if mass == 0 else sum((weighted[s0] for s0 in alive), _ZERO) / mass
+def _values(spec: PureLearningSpec) -> dict[History, Rat]:
+    """`evaluate(spec, h)` for every reachable history of length <=
+    `spec.horizon`, from two forward passes."""
+    weighted = history_weights(spec.env, spec.horizon, _start(spec))
+    return {
+        h: weighted.get(h, _ZERO) / total
+        for h, total in history_weights(spec.env, spec.horizon).items()
+    }
 
 
 def _first_difference(spec: PureLearningSpec, moved: PureLearningSpec) -> History | None:
     """The first reachable history of length <= `spec.horizon`, in canonical
     order over both environments, on which `moved` (a transfer of `spec` to
     `moved.env`) disagrees with `spec`; None when they agree everywhere."""
-    histories = _all_reachable(spec.env, moved.env, spec.horizon)
-    for h, before, after in zip(histories, _walk(spec, histories), _walk(moved, histories)):
-        if before != after:
+    before, after = _values(spec), _values(moved)
+    for h in sorted(before.keys() | after.keys(), key=history_sort_key):
+        if before.get(h, _ZERO) != after.get(h, _ZERO):
             return h
     return None
 

@@ -1,48 +1,33 @@
 """History probabilities, conditional history probabilities, and the Bayes
 posterior over the initial state.
 
-Probabilities are computed by an exact dynamic program over the joint
-distribution of the current state given the observed prefix; state sequences
-are marginalized, never enumerated.
+Probabilities fold the forward step of `core._forward` along one history:
+the unnormalized belief over the current state, split by observation after
+each action.  State sequences are marginalized, never enumerated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import History, Pomdp, Rat, StochasticPolicy
+from .core import History, Pomdp, Rat, StochasticPolicy, _moved, _observe
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _state_weights(p: Pomdp, h: History, start: str | None = None) -> Rat:
-    """Total weight of `h` with all policy factors dropped.
+def _weight(p: Pomdp, h: History, start=None) -> Rat:
+    """Total weight of `h` with all policy factors dropped: the forward step
+    of `core._forward` folded along `h` alone.
 
     This is the probability of `h` under the policy that plays h's own
-    actions.  With `start` given, the initial distribution is replaced by a
-    point mass on that state (used for the posterior's likelihood).
+    actions.  `start` is (state, weight) pairs replacing the initial
+    distribution (the posterior's likelihood starts from one state).
     """
-    if start is None:
-        weights = {s: w for s, w in p.init.entries if w > 0}
-    else:
-        weights = {start: _ONE}
-    weights = {
-        s: w * p.obs_dist(s).prob(h.initial_obs)
-        for s, w in weights.items()
-        if p.obs_dist(s).prob(h.initial_obs) > 0
-    }
+    belief = _observe(p, p.init.entries if start is None else start).get(h.initial_obs, {})
     for action, obs in h.steps:
-        nxt: dict[str, Rat] = {}
-        for s, w in weights.items():
-            for s2, wt in p.trans_dist(s, action).entries:
-                wo = p.obs_dist(s2).prob(obs)
-                if wt > 0 and wo > 0:
-                    nxt[s2] = nxt.get(s2, _ZERO) + w * wt * wo
-        weights = nxt
-        if not weights:
-            return _ZERO
-    return sum(weights.values(), _ZERO)
+        belief = _observe(p, _moved(p, belief, action)).get(obs, {})
+    return sum(belief.values(), _ZERO)
 
 
 def _policy_factor(h: History, pi: StochasticPolicy) -> Rat:
@@ -61,7 +46,7 @@ def history_prob(p: Pomdp, h: History, pi: StochasticPolicy) -> Rat:
     factor = _policy_factor(h, pi)
     if factor == 0:
         return _ZERO
-    return factor * _state_weights(p, h)
+    return factor * _weight(p, h)
 
 
 def cond_history_prob(
@@ -92,7 +77,7 @@ def initial_posterior(p: Pomdp, h: History) -> dict[str, Rat]:
     """
     p.check_history_symbols(h)
     joint = {
-        s: p.init.prob(s) * _state_weights(p, h, start=s)
+        s: _weight(p, h, [(s, p.init.prob(s))])
         for s in p.states
         if p.init.prob(s) != 0
     }

@@ -18,6 +18,7 @@ from cfpomdp import (
     Pomdp,
     StochasticPolicy,
 )
+from cfpomdp.core import history_sort_key
 from cfpomdp.envpolicy import _iter_support
 
 ZERO = Fraction(0)
@@ -32,19 +33,29 @@ def brute_history_prob(
     p: Pomdp, h: History, pi: StochasticPolicy, start: str | None = None
 ) -> Fraction:
     """Sum over all state sequences of the product of initial, observation,
-    transition, and policy factors."""
-    t = h.length
+    transition, and policy factors.  Sequences grow one state at a time, and
+    one whose product is already 0 is not extended: its extensions add 0."""
+
+    def extensions(term: Fraction, state: str, k: int) -> Fraction:
+        if k == h.length:
+            return term
+        action, obs = h.steps[k]
+        total = ZERO
+        for nxt in p.states:
+            factor = p.trans_dist(state, action).prob(nxt) * p.obs_dist(nxt).prob(obs)
+            factor *= pi.prob(h.prefix(k), action)
+            if factor != 0:
+                total += extensions(term * factor, nxt, k + 1)
+        return total
+
     total = ZERO
-    for seq in itertools.product(p.states, repeat=t + 1):
-        term = ONE if start is not None else p.init.prob(seq[0])
-        if start is not None and seq[0] != start:
+    for s0 in p.states:
+        if start is not None and s0 != start:
             continue
-        term *= p.obs_dist(seq[0]).prob(h.initial_obs)
-        for k, (action, obs) in enumerate(h.steps, start=1):
-            term *= p.trans_dist(seq[k - 1], action).prob(seq[k])
-            term *= p.obs_dist(seq[k]).prob(obs)
-            term *= pi.prob(h.prefix(k - 1), action)
-        total += term
+        term = ONE if start is not None else p.init.prob(s0)
+        term *= p.obs_dist(s0).prob(h.initial_obs)
+        if term != 0:
+            total += extensions(term, s0, 0)
     return total
 
 
@@ -59,6 +70,34 @@ def brute_posterior(
     if total == 0:
         return {s: ZERO for s in p.states}
     return {s: joint[s] / total for s in p.states}
+
+
+def brute_check_equiv(p1: Pomdp, p2: Pomdp, m: int):
+    """m-equivalence by the prefix-pair loop: for every reachable history of
+    either environment in canonical order, and each of its prefixes shortest
+    first, compare the conditional probabilities under the history's own
+    action script, each probability from `brute_history_prob`.
+
+    Returns None when every pair agrees, else the first differing
+    (h_long, h_short, policy, value_left, value_right)."""
+    weights: tuple[dict, dict] = ({}, {})
+
+    def weight(i: int, p: Pomdp, h: History) -> Fraction:
+        if h not in weights[i]:
+            script = DeterministicPolicy.script(h).as_stochastic()
+            weights[i][h] = brute_history_prob(p, h, script)
+        return weights[i][h]
+
+    union = set(reachable_up_to(p1, m)) | set(reachable_up_to(p2, m))
+    for h_long in sorted(union, key=history_sort_key):
+        for h_short in h_long.prefixes():
+            values = []
+            for i, p in enumerate((p1, p2)):
+                short = weight(i, p, h_short)
+                values.append(ZERO if short == 0 else weight(i, p, h_long) / short)
+            if values[0] != values[1]:
+                return (h_long, h_short, DeterministicPolicy.script(h_long), *values)
+    return None
 
 
 # ---------------------------------------------------------------------------

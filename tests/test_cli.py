@@ -112,6 +112,11 @@ class TestEquivCommands:
             result = invoke(runner, command, MU, str(other), "--m", "1")
             assert result.exit_code == 2
 
+    def test_equiv_negative_horizon_exit_two(self, runner):
+        result = invoke(runner, "equiv", MU, MU_PRIME, "--m", "-1")
+        assert result.exit_code == 2
+        assert "turn count must be >= 0" in result.output
+
 
 class TestDeterminizeCommand:
     def test_writes_parseable_equivalent_env(self, runner, tmp_path):

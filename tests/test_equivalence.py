@@ -7,6 +7,7 @@ from cfpomdp import (
     DeterministicPolicy,
     FiniteDist,
     History,
+    InputError,
     Pomdp,
     SimilarityError,
     StochasticPolicy,
@@ -20,6 +21,7 @@ from cfpomdp import (
 )
 
 from helpers import (
+    brute_check_equiv,
     brute_collection_prob,
     random_det_policy,
     random_pomdp,
@@ -104,6 +106,71 @@ class TestCheckEquiv:
             assert cond_history_prob(mu, h_long, h_short, pi) == cond_history_prob(
                 mu_double_prime, h_long, h_short, pi
             )
+
+
+def reweighted_start(p):
+    """Double the initial odds of the first initial state: the o0-odds
+    variant of ROADMAP item 2 when that state's observations differ."""
+    first = p.init.support[0]
+    scaled = [(s, w * (2 if s == first else 1)) for s, w in p.init.entries]
+    total = sum(w for _, w in scaled)
+    return Pomdp.build(
+        p.states, p.actions, p.observations,
+        FiniteDist.of([(s, w / total) for s, w in scaled]),
+        dict(p.trans), dict(p.obs),
+    )
+
+
+def o0_odds_pair():
+    """Two self-looping states, each emitting its own observation, with
+    start odds 1/2:1/2 and 1/3:2/3."""
+    def env(init):
+        return Pomdp.build(
+            ("u", "v"), ("a", "b"), ("x", "y"), init,
+            {(s, a): {s: 1} for s in ("u", "v") for a in ("a", "b")},
+            {"u": {"x": 1}, "v": {"y": 1}},
+        )
+
+    return env({"u": Fraction(1, 2), "v": Fraction(1, 2)}), env(
+        {"u": Fraction(1, 3), "v": Fraction(2, 3)}
+    )
+
+
+class TestCheckEquivOracle:
+    def test_matches_prefix_pair_loop(self, corpus, rng):
+        # same verdict and same whole witness as the brute-force prefix-pair
+        # loop, on the corpus and on random environments of <= 3 states,
+        # each against its twin, a perturbed row, a neighbour and its
+        # reweighted start
+        alphabets = (("a0", "a1"), ("x0", "x1"))
+        families = [
+            list(corpus.values()),
+            [random_pomdp(rng, max_states=3, alphabets=alphabets) for _ in range(6)],
+        ]
+        pairs = [o0_odds_pair()]
+        for envs in families:
+            for i, p in enumerate(envs):
+                pairs += [
+                    (p, relabel_states(split_initial_state(p))),
+                    (p, perturb_one_row(p, rng)),
+                    (p, envs[(i + 1) % len(envs)]),
+                    (p, reweighted_start(p)),
+                ]
+        verdicts = set()
+        for p, q in pairs:
+            for m in range(4):
+                verdict = check_equiv(p, q, m)
+                w = verdict.witness
+                got = None if w is None else (
+                    w.h_long, w.h_short, w.policy, w.value_left, w.value_right
+                )
+                assert got == brute_check_equiv(p, q, m), (p, q, m)
+                verdicts.add(verdict.equivalent)
+        assert verdicts == {True, False}
+
+    def test_negative_horizon_rejected(self, mu):
+        with pytest.raises(InputError):
+            check_equiv(mu, mu, -1)
 
 
 class TestCollectionProb:

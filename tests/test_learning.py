@@ -15,6 +15,7 @@ from cfpomdp import (
     cond_history_prob,
     determinize,
     evaluate,
+    initial_posterior,
     load_weights,
     minimize,
     reachable_histories,
@@ -22,9 +23,9 @@ from cfpomdp import (
     transfer,
     verify_universality,
 )
+from cfpomdp.core import history_sort_key
 from cfpomdp.determinize import behavior_partition
-from cfpomdp.equivalence import _all_reachable
-from cfpomdp.learning import _walk
+from cfpomdp.learning import _first_difference
 
 from helpers import random_pomdp, reachable_up_to
 
@@ -232,24 +233,74 @@ class TestVerifyUniversality:
             assert ok, f"differs at {differing}"
 
 
-class TestForwardWalk:
-    def test_walk_equals_evaluate(self, rng):
-        # the twin of a random environment, walked over the union of its and
-        # another twin's reachable histories in canonical order, as
-        # verify_universality walks them (so its first differing history is
-        # the one per-history evaluation finds); histories only the other
-        # twin reaches evaluate to 0
+def posterior_value(spec, h):
+    """The defining sum: weights averaged under the initial posterior."""
+    post = initial_posterior(spec.env, h)
+    return sum((w * post[s] for s, w in spec.weights), Fraction(0))
+
+
+def first_posterior_difference(spec, other, histories):
+    return next(
+        (h for h in histories if posterior_value(spec, h) != posterior_value(other, h)),
+        None,
+    )
+
+
+class TestForwardValues:
+    def test_evaluate_and_first_difference_match_posterior(self, rng):
+        # two random twins with their own weights, over the union of their
+        # reachable histories in canonical order, as verify_universality
+        # compares them; histories only the other twin reaches evaluate to 0
         alphabets = (("a0", "a1"), ("x0", "x1"))
         for _ in range(4):
             for m in (1, 2):
-                d, other = (
+                envs = [
                     determinize(random_pomdp(rng, max_states=3, alphabets=alphabets), m)
                     for _ in range(2)
+                ]
+                specs = [
+                    PureLearningSpec.of(
+                        d, {s: Fraction(rng.randint(0, 6), 6) for s in d.init.support}, m
+                    )
+                    for d in envs
+                ]
+                union = sorted(
+                    {h for d in envs for h in reachable_up_to(d, m)}, key=history_sort_key
                 )
-                weights = {s: Fraction(rng.randint(0, 6), 6) for s in d.init.support}
-                spec = PureLearningSpec.of(d, weights, m)
-                histories = _all_reachable(d, other, m)
-                assert list(_walk(spec, histories)) == [evaluate(spec, h) for h in histories]
+                for spec in specs:
+                    assert [evaluate(spec, h) for h in union] == [
+                        posterior_value(spec, h) for h in union
+                    ]
+                assert _first_difference(*specs) == first_posterior_difference(*specs, union)
+                assert _first_difference(specs[0], specs[0]) is None
+                # moving init-weighted mass between two initial states that
+                # emit the same o0 keeps every value until the states part
+                d = envs[0]
+                init = d.init.support
+                pair = next(
+                    (
+                        (s1, s2)
+                        for i, s1 in enumerate(init)
+                        for s2 in init[i + 1 :]
+                        if d.obs_dist(s1) == d.obs_dist(s2)
+                    ),
+                    None,
+                )
+                if pair:
+                    s1, s2 = pair
+                    eps = min(d.init.prob(s1), d.init.prob(s2)) / 4
+                    shifted = dict.fromkeys(init, Fraction(1, 2))
+                    shifted[s1] += eps / d.init.prob(s1)
+                    shifted[s2] -= eps / d.init.prob(s2)
+                    flat = PureLearningSpec.of(d, dict.fromkeys(init, Fraction(1, 2)), m)
+                    moved = PureLearningSpec.of(d, shifted, m)
+                    assert _first_difference(flat, moved) == first_posterior_difference(
+                        flat, moved, union
+                    )
+
+    def test_unknown_observation_rejected(self, mu_star):
+        with pytest.raises(InputError):
+            evaluate(star_spec(mu_star), History.parse("nowhere"))
 
 
 class TestWeightsFiles:
