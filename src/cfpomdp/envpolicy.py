@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property
 
 from .core import (
     DeterministicPolicy,
@@ -153,11 +153,13 @@ def _iter_support(p: Pomdp, m: int):
             yield from obs_stage(0, {s0}, w0, (s0, ()), ())
 
 
-@lru_cache(maxsize=None)
 def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], ...]:
     """All reduced environment policies of positive probability, with their
     aggregated probabilities.  Probabilities are strictly positive and sum
-    to exactly 1."""
+    to exactly 1.
+
+    Each call recomputes the support: nothing is cached.  Its callers are
+    `determinize`, `env_policy_posterior`, `simulate` and `env-policies`."""
     return tuple(_iter_support(p, m))
 
 

@@ -17,9 +17,10 @@ deterministic pairs has, as its joint probability, the total mass of the
 behavior maps consistent with every pair, so the behavior-map distribution
 determines all collection probabilities (stochastic policies reduce to
 convex combinations of deterministic ones); conversely the distribution is
-recovered from collections that pin down a full behavior map.  The
-direct sum over resolutions stays available as `collection_prob` and serves
-as the oracle in the test suite.
+recovered from collections that pin down a full behavior map.  Both
+`behavior_distribution` and `collection_prob` work from that distribution,
+which a dynamic program over (turn, visited states) builds without
+enumerating resolutions.
 """
 
 from __future__ import annotations
@@ -36,15 +37,11 @@ from .core import (
     history_sort_key,
     history_weights,
 )
-from .envpolicy import (
-    BehaviorMap,
-    behavior_map,
-    enumerate_support,
-    history_prob_given_ep,
-)
+from .envpolicy import BehaviorMap
 from .errors import InputError, SimilarityError
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -128,32 +125,90 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
 
 def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     """Joint probability that agents sharing one resolution each see their
-    paired history: the sum over the reduced support of the resolution
-    probability times the product of the per-agent history probabilities."""
+    paired history: the sum over behavior maps of the map's mass times the
+    product of the per-agent history probabilities, each read by walking
+    the history's actions down the map's tree."""
     for h, _ in q.pairs:
         if h.length > m:
-            raise InputError(
-                f"history {h} longer than the horizon {m} of the query"
-            )
+            raise InputError(f"history {h} longer than the horizon {m} of the query")
     total = _ZERO
-    for ep, prior in enumerate_support(p, m):
-        term = prior
+    for bm, term in behavior_distribution(p, m).items():
         for h, pi in q.pairs:
-            term *= history_prob_given_ep(p, h, ep, pi)
+            p.check_history_symbols(h)
+            obs, children = bm.tree
+            if obs != h.initial_obs:
+                term = _ZERO
+            for turn, (action, o) in enumerate(h.steps):
+                if term == 0:
+                    break
+                term *= pi.prob(h.prefix(turn), action)
+                obs, children = children[bm.actions.index(action)]
+                if obs != o:
+                    term = _ZERO
             if term == 0:
                 break
         total += term
     return total
 
 
+def _product(rows, weight: Rat = _ONE) -> list[tuple[tuple, Rat]]:
+    """Every choice of one (item, weight) per row, weighted by their product."""
+    out = [((), weight)]
+    for row in rows:
+        out = [(xs + (x,), w if v == 1 else w * v) for xs, w in out for x, v in row]
+    return out
+
+
 def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     """Pushforward of the resolution distribution through the behavior map;
-    resolutions with identical maps merge.  Values sum to exactly 1."""
-    out: dict[BehaviorMap, Rat] = {}
-    for ep, prior in enumerate_support(p, m):
-        bm = behavior_map(p, ep, m)
-        out[bm] = out.get(bm, _ZERO) + prior
-    return out
+    resolutions with identical maps merge.  Values sum to exactly 1.
+
+    No resolution is enumerated: F(t, V), memoized over the turn t and the
+    states V visited at t, is a distribution over tuples of interned node
+    ids (observation at (s, t), one child id per sorted action), one per
+    state of V.  It sums each choice of successors on V x actions against
+    F(t + 1, V'), and observation choices multiply in.  Rows are read only
+    for visited states, as in `enumerate_support`.
+    """
+    if m < 1:
+        raise InputError(f"turn count must be >= 1, got {m}")
+    actions = tuple(sorted(p.actions))
+    slot = [p.actions.index(a) for a in actions]
+    ids: dict[tuple, int] = {}
+    memo: dict[tuple, dict[tuple[int, ...], Rat]] = {}
+
+    def dist(t: int, visited: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+        if (t, visited) in memo:
+            return memo[t, visited]
+        obs_rows = [[e for e in p.obs_dist(s).entries if e[1] > 0] for s in visited]
+        children = {((),) * len(visited): _ONE} if t == m else {}
+        if t < m and all(obs_rows):
+            rows = [[e for e in p.trans_dist(s, a).entries if e[1] > 0]
+                    for s in visited for a in p.actions]
+            for succ, weight in _product(rows):
+                nxt = tuple(sorted(set(succ), key=p.state_index.__getitem__))
+                child_at = [[nxt.index(succ[i + j]) for j in slot]
+                            for i in range(0, len(succ), len(slot))]
+                for key, mass in dist(t + 1, nxt).items():
+                    vec = tuple(tuple(key[k] for k in row) for row in child_at)
+                    children[vec] = children.get(vec, _ZERO) + weight * mass
+        out = memo[t, visited] = {}
+        for vec, mass in children.items():
+            nodes = [[(ids.setdefault((o, kids), len(ids)), w) for o, w in row]
+                     for row, kids in zip(obs_rows, vec)]
+            out.update(_product(nodes, mass))
+        return out
+
+    roots: dict[int, Rat] = {}
+    for s0, w0 in p.init.entries:
+        if w0 > 0:
+            for (root,), mass in dist(0, (s0,)).items():
+                roots[root] = roots.get(root, _ZERO) + w0 * mass
+    del dist  # it refers to itself: break the cycle so its memo dies here
+    trees: list[tuple] = []
+    for o, kids in ids:
+        trees.append((o, tuple(trees[i] for i in kids)))
+    return {BehaviorMap(actions, trees[i]): mass for i, mass in roots.items()}
 
 
 def _witness_query(bm: BehaviorMap) -> CollectionQuery:
@@ -175,8 +230,6 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     reported values.
     """
     ensure_similar(p1, p2)
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
     d1 = behavior_distribution(p1, m)
     d2 = behavior_distribution(p2, m)
     if d1 == d2:

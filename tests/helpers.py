@@ -19,7 +19,12 @@ from cfpomdp import (
     StochasticPolicy,
 )
 from cfpomdp.core import history_sort_key
-from cfpomdp.envpolicy import _iter_support
+from cfpomdp.envpolicy import (
+    _iter_support,
+    behavior_map,
+    enumerate_support,
+    history_prob_given_ep,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -180,6 +185,37 @@ def brute_collection_prob(p: Pomdp, pairs, m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# oracle: counterfactual quantities by enumerating reduced resolutions
+
+
+def resolution_behavior_distribution(p: Pomdp, m: int) -> dict:
+    """Push the reduced support forward through `behavior_map`, one
+    resolution at a time; resolutions with equal maps merge."""
+    out: dict = {}
+    for ep, prior in enumerate_support(p, m):
+        bm = behavior_map(p, ep, m)
+        out[bm] = out.get(bm, ZERO) + prior
+    return out
+
+
+def resolution_collection_prob(p: Pomdp, q, m: int) -> Fraction:
+    """Sum over the reduced support of the resolution probability times the
+    product of the per-agent `history_prob_given_ep` values."""
+    for h, _ in q.pairs:
+        if h.length > m:
+            raise ValueError(f"history {h} longer than the horizon {m}")
+    total = ZERO
+    for ep, prior in enumerate_support(p, m):
+        term = prior
+        for h, pi in q.pairs:
+            term *= history_prob_given_ep(p, h, ep, pi)
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+# ---------------------------------------------------------------------------
 # oracle: behavior maps by explicit rollout of every action sequence
 
 
@@ -276,6 +312,33 @@ def random_pomdp(
             support_size_within(p, m, resolution_cap)
             for m in range(1, horizon_cap + 1)
         ):
+            return p
+    raise RuntimeError("could not draw a small-support environment")
+
+
+def random_cf_env(
+    rng: random.Random, n_states: int, resolution_cap: int = 5000
+) -> Pomdp:
+    """A random environment for counterfactual oracles: `n_states` states,
+    actions declared out of sorted order, an initial distribution over at
+    least two states, point-mass or two-outcome rows, and at most
+    `resolution_cap` reduced resolutions at m = 3."""
+    for _ in range(2000):
+        states = tuple(f"q{i}" for i in range(n_states))
+        actions = ("b", "a", "c")[: rng.randint(2, 3)]
+        observations = ("x", "y", "z")
+        init = random_dist(rng, states, max_support=len(states))
+        if len(init) == 1:
+            continue
+        p = Pomdp.build(
+            states,
+            actions,
+            observations,
+            init,
+            {(s, a): random_dist(rng, states) for s in states for a in actions},
+            {s: random_dist(rng, observations) for s in states},
+        )
+        if support_size_within(p, 3, resolution_cap):
             return p
     raise RuntimeError("could not draw a small-support environment")
 

@@ -1,3 +1,6 @@
+import gc
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,17 +20,22 @@ from cfpomdp import (
     collection_prob,
     cond_history_prob,
     determinize,
+    enumerate_support,
+    env_policy_posterior,
     history_prob,
 )
 
 from helpers import (
     brute_check_equiv,
     brute_collection_prob,
+    random_cf_env,
     random_det_policy,
     random_pomdp,
     random_stochastic_policy,
     reachable_up_to,
     relabel_states,
+    resolution_behavior_distribution,
+    resolution_collection_prob,
     perturb_one_row,
     split_initial_state,
     tiny_three_state,
@@ -366,3 +374,167 @@ class TestStochasticReduction:
             )
             query = CollectionQuery(pairs)
             assert collection_prob(mu, query, 1) == collection_prob(mu_prime, query, 1)
+
+
+@pytest.fixture(scope="module")
+def cf_envs():
+    """Nine seeded random environments of 2-4 states, with actions declared
+    out of sorted order and several initial states."""
+    rng = random.Random(5150)
+    return [random_cf_env(rng, n) for n in (2, 3, 4) * 3]
+
+
+def random_queries(p, m, rng):
+    """1-3-pair collection queries with random stochastic policies; some
+    histories are shorter than m and some are impossible."""
+    reachable = reachable_up_to(p, m)
+    policies = [random_stochastic_policy(p, m, rng) for _ in range(3)]
+    queries = []
+    for _ in range(4):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            h = rng.choice(reachable)
+            if h.length < m and rng.random() < 0.4:
+                h = h.extend(rng.choice(p.actions), rng.choice(p.observations))
+            pairs.append((h, rng.choice(policies)))
+        queries.append(CollectionQuery(tuple(pairs)))
+    return queries
+
+
+class TestBehaviorDistributionOracle:
+    def test_matches_pushforward_on_corpus(self, corpus):
+        for p in corpus.values():
+            for m in (1, 2, 3):
+                assert behavior_distribution(p, m) == resolution_behavior_distribution(p, m)
+
+    def test_matches_pushforward_on_random_envs(self, cf_envs):
+        for p in cf_envs:
+            for m in (1, 2, 3):
+                dist = behavior_distribution(p, m)
+                assert dist == resolution_behavior_distribution(p, m), (p, m)
+                assert all(bm.actions == tuple(sorted(p.actions)) for bm in dist)
+        # the draws cover what the dynamic program has to get right
+        assert {len(p.states) for p in cf_envs} == {2, 3, 4}
+        assert any(list(p.actions) != sorted(p.actions) for p in cf_envs)
+        assert all(len(p.init.support) >= 2 for p in cf_envs)
+        assert {len(d.support) for p in cf_envs for _, d in p.obs} == {1, 2}
+
+    def test_aliased_three_states_at_m4(self):
+        # 91,828 reduced resolutions at m = 4, merged into 6,015 maps
+        half = Fraction(1, 2)
+        p = Pomdp.build(
+            ("s0", "s1", "s2"), ("a0", "a1"), ("x", "y", "z"), {"s0": 1},
+            {
+                ("s0", "a0"): {"s1": half, "s0": half},
+                ("s0", "a1"): {"s2": Fraction(5, 6), "s0": Fraction(1, 6)},
+                ("s1", "a0"): {"s2": half, "s0": half},
+                ("s1", "a1"): {"s2": Fraction(5, 9), "s1": Fraction(4, 9)},
+                ("s2", "a0"): {"s2": half, "s1": half},
+                ("s2", "a1"): {"s1": Fraction(3, 7), "s2": Fraction(4, 7)},
+            },
+            {"s0": {"y": 1}, "s1": {"x": 1}, "s2": {"x": 1}},
+        )
+        dist = behavior_distribution(p, 4)
+        assert len(dist) == 6015
+        assert sum(dist.values()) == 1
+        assert check_cf_equiv(p, relabel_states(split_initial_state(p)), 4).equivalent
+
+
+class TestCollectionProbOracle:
+    def test_matches_resolution_sum(self, cf_envs):
+        # and the unreduced sum, on the environments small enough for it
+        rng = random.Random(77)
+        brute_sized = [(tiny_two_state(), 2), (tiny_three_state(), 1)]
+        values = set()
+        for p, brute_m in [(p, 0) for p in cf_envs] + brute_sized:
+            for m in (1, 2, 3):
+                for q in random_queries(p, m, rng):
+                    value = collection_prob(p, q, m)
+                    assert value == resolution_collection_prob(p, q, m), (p, m, q)
+                    if m <= brute_m:
+                        assert value == brute_collection_prob(p, q.pairs, m)
+                    values.add(value == 0)
+        assert values == {True, False}  # impossible and possible collections
+
+
+def with_rows(p, trans=None, obs=None, states=None):
+    return Pomdp.build(
+        states or p.states, p.actions, p.observations, p.init,
+        dict(p.trans) if trans is None else trans,
+        dict(p.obs) if obs is None else obs,
+    )
+
+
+class TestCfGuards:
+    def test_missing_rows_at_unreachable_states(self, mu, mu_prime):
+        # a rowless extra state and, at m = 1, s00's transition rows are
+        # never visited
+        dead = with_rows(mu, states=mu.states + ("dead",))
+        no_s00 = with_rows(mu, trans={k: d for k, d in mu.trans if k[0] != "s00"})
+        for p in (dead, no_s00):
+            assert behavior_distribution(p, 1) == behavior_distribution(mu, 1)
+            assert check_cf_equiv(p, mu_prime, 1).equivalent
+        assert check_cf_equiv(dead, mu_prime, 2).equivalent
+
+    def test_missing_row_at_reachable_state(self, mu):
+        no_obs = with_rows(mu, obs={s: d for s, d in mu.obs if s != "s01"})
+        no_trans = with_rows(mu, trans={k: d for k, d in mu.trans if k[0] != "s00"})
+        query = CollectionQuery(((History.parse("o0"), const(mu, 1, "a0")),))
+        for p, m in ((no_obs, 1), (no_trans, 2)):
+            with pytest.raises(InputError, match="no (observation|transition) row"):
+                behavior_distribution(p, m)
+            with pytest.raises(InputError, match="no (observation|transition) row"):
+                check_cf_equiv(p, mu, m)
+            with pytest.raises(InputError, match="no (observation|transition) row"):
+                collection_prob(p, query, m)
+
+    def test_collection_unknown_symbol(self, mu):
+        for text in ("o0 a0 nowhere", "o0 zz s00", "void"):
+            query = CollectionQuery(((History.parse(text), const(mu, 1, "a0")),))
+            with pytest.raises(InputError, match="unknown"):
+                collection_prob(mu, query, 1)
+
+    def test_collection_undefined_policy(self, mu):
+        first = DeterministicPolicy.script(History.parse("o0 a0 s00")).as_stochastic()
+        reached = CollectionQuery(((History.parse("o0 a0 s00 a1 s00"), first),))
+        with pytest.raises(InputError, match="policy undefined"):
+            collection_prob(mu, reached, 2)
+        # a prefix that no resolution reaches is never read
+        unreached = CollectionQuery(((History.parse("o0 a0 o0 a1 s00"), first),))
+        assert collection_prob(mu, unreached, 2) == 0
+
+    def test_zero_turns_rejected(self, mu):
+        query = CollectionQuery(((History.parse("o0"), const(mu, 1, "a0")),))
+        for call in (
+            lambda: behavior_distribution(mu, 0),
+            lambda: check_cf_equiv(mu, mu, 0),
+            lambda: collection_prob(mu, query, 0),
+        ):
+            with pytest.raises(InputError, match="turn count must be >= 1, got 0"):
+                call()
+
+
+def test_queried_environment_is_freed():
+    # state names no other test uses, so no equal environment is queried
+    p = relabel_states(tiny_two_state(), prefix="freed_")
+    ref = weakref.ref(p)
+    h = History.parse("x a y")
+    pi = StochasticPolicy.uniform(p, 1)
+    enumerate_support(p, 1)
+    assert check_cf_equiv(p, relabel_states(p), 1).equivalent
+    collection_prob(p, CollectionQuery(((h, pi),)), 1)
+    env_policy_posterior(p, h, pi, 1)
+    del p, pi
+    gc.collect()
+    assert ref() is None
+
+
+def test_behavior_distribution_leaves_no_cycles(mu, mu_double_prime):
+    # its memo is freed by reference counting, not by the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        check_cf_equiv(mu, mu_double_prime, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
