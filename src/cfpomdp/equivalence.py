@@ -1,14 +1,14 @@
 """Decision procedures for m-equivalence and m-counterfactual equivalence.
 
-m-equivalence: two similar environments assign the same conditional
-probability to every pair of histories up to length m, under every policy.
-Only prefix pairs h' of h matter (non-extensions condition to 0 on both
-sides), and there every policy's conditional is either w(h)/w(h'), a ratio
-of policy-free weights (`core.history_weights`), or trivially equal on both
-sides, because history probabilities are multilinear in the per-history
-action probabilities.  As w(h)/w(h') = [w(h)/w(o0)] / [w(h')/w(o0)], each
-history is compared once, relative to its initial observation o0; a failure
-is the pair (h, o0) under the policy playing h's own actions.
+m-equivalence: two similar environments assign the same probability to
+every history up to length m, and hence the same conditional probability to
+every pair of histories, under every policy.  A policy's probability of h is
+its action factors along h times the policy-free weight w(h)
+(`core.history_weights`), so it suffices to compare w(h) directly, the
+length-0 histories (the initial observations o0) included.  A failure at
+length 0 is reported as (o0, o0) with the two unconditional probabilities
+of o0; a later one as the pair (h, o0) under the policy playing h's own
+actions, with the conditional values w(h)/w(o0), whose denominators agree.
 
 m-counterfactual equivalence: joint probabilities over a shared resolution
 agree for every finite collection of (history, policy) pairs.  Decided by
@@ -57,7 +57,11 @@ class CollectionQuery:
 
 @dataclass(frozen=True)
 class ConditionalWitness:
-    """Two histories and a policy whose conditional probabilities differ."""
+    """Two histories and a policy whose conditional probabilities differ.
+
+    When the environments already differ on an initial observation o0, both
+    histories are o0 and the values are its unconditional probabilities,
+    not the conditional probabilities (both 1) of o0 given itself."""
 
     h_long: History
     h_short: History
@@ -106,14 +110,13 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     failure."""
     ensure_similar(p1, p2)
     w1, w2 = history_weights(p1, m), history_weights(p2, m)
-
-    def relative(w: dict[History, Rat], h: History) -> Rat:
-        base = w.get(h.prefix(0), _ZERO)
-        return _ZERO if base == 0 else w.get(h, _ZERO) / base
-
     for h in sorted(w1.keys() | w2.keys(), key=history_sort_key):
-        v1, v2 = relative(w1, h), relative(w2, h)
-        if v1 != v2:
+        if w1.get(h, _ZERO) != w2.get(h, _ZERO):
+            # below length 0 every o0 weight agrees, and h's is positive
+            v1, v2 = (
+                w.get(h, _ZERO) / w[h.prefix(0)] if h.length else w.get(h, _ZERO)
+                for w in (w1, w2)
+            )
             return Verdict(
                 equivalent=False,
                 witness=ConditionalWitness(

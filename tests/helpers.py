@@ -78,13 +78,16 @@ def brute_posterior(
 
 
 def brute_check_equiv(p1: Pomdp, p2: Pomdp, m: int):
-    """m-equivalence by the prefix-pair loop: for every reachable history of
-    either environment in canonical order, and each of its prefixes shortest
-    first, compare the conditional probabilities under the history's own
-    action script, each probability from `brute_history_prob`.
+    """m-equivalence by comparing, first, the probability of each initial
+    observation o0 in sorted order, then the prefix-pair loop: for every
+    reachable history of either environment in canonical order, and each of
+    its prefixes shortest first, compare the conditional probabilities under
+    the history's own action script, each probability from
+    `brute_history_prob`.
 
-    Returns None when every pair agrees, else the first differing
-    (h_long, h_short, policy, value_left, value_right)."""
+    Returns None when everything agrees, else the first differing
+    (h_long, h_short, policy, value_left, value_right); an o0 that differs
+    gives (o0, o0, its empty script, both probabilities of o0)."""
     weights: tuple[dict, dict] = ({}, {})
 
     def weight(i: int, p: Pomdp, h: History) -> Fraction:
@@ -94,6 +97,10 @@ def brute_check_equiv(p1: Pomdp, p2: Pomdp, m: int):
         return weights[i][h]
 
     union = set(reachable_up_to(p1, m)) | set(reachable_up_to(p2, m))
+    for o0 in sorted((h for h in union if h.length == 0), key=history_sort_key):
+        values = [weight(i, p, o0) for i, p in enumerate((p1, p2))]
+        if values[0] != values[1]:
+            return (o0, o0, DeterministicPolicy.script(o0), *values)
     for h_long in sorted(union, key=history_sort_key):
         for h_short in h_long.prefixes():
             values = []

@@ -180,6 +180,21 @@ class TestCheckEquivOracle:
         with pytest.raises(InputError):
             check_equiv(mu, mu, -1)
 
+    def test_initial_observation_odds_compared(self):
+        # the odds of o0 differ, so a single agent already tells the pair
+        # apart at length 0; the witness values are the unconditional
+        # probabilities of o0
+        p, q = o0_odds_pair()
+        for m in range(4):
+            verdict = check_equiv(p, q, m)
+            assert not verdict.equivalent
+            w = verdict.witness
+            assert str(w.h_long) == str(w.h_short) == "x"
+            assert (w.value_left, w.value_right) == (Fraction(1, 2), Fraction(1, 3))
+            pi = w.policy.as_stochastic()
+            assert history_prob(p, w.h_long, pi) == w.value_left
+            assert history_prob(q, w.h_long, pi) == w.value_right
+
 
 class TestCollectionProb:
     def test_mu_pinning_both_branches(self, mu):
