@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 from .core import (
     DeterministicPolicy,
@@ -34,11 +36,10 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
-    history_sort_key,
-    history_weights,
 )
 from .envpolicy import BehaviorMap
 from .errors import InputError, SimilarityError
+from .trajectory import _weight
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -105,25 +106,156 @@ def ensure_similar(p1: Pomdp, p2: Pomdp) -> None:
         )
 
 
+def _signed(v: dict) -> int:
+    """v·f: p1's entries minus p2's."""
+    return sum(-x if side else x for (side, _), x in v.items())
+
+
+def _dot(u: dict, r: dict) -> int:
+    return sum(x * r.get(i, 0) for i, x in u.items())
+
+
+def _primitive(u: dict) -> dict:
+    """`u` without zero entries, divided by the gcd of its entries."""
+    u = {i: x for i, x in u.items() if x}
+    g = gcd(*u.values())
+    return u if g == 1 else {i: x // g for i, x in u.items()}
+
+
+def _span(vectors) -> list[dict]:
+    """An echelon basis of the span of sparse integer vectors: each basis
+    vector is zero at the pivots of those before it, so reducing against
+    them in order leaves zero exactly on the span."""
+    basis: list[tuple[object, dict]] = []
+    for u in vectors:
+        u = _primitive(u)
+        for pivot, b in basis:
+            x = u.get(pivot)
+            if x:
+                g = gcd(x, b[pivot])
+                x, y = x // g, b[pivot] // g
+                u = {i: y * v for i, v in u.items()}
+                for i, v in b.items():
+                    u[i] = u.get(i, 0) - x * v
+                u = _primitive(u)
+        if u:
+            basis.append((min(u), u))
+    return [b for _, b in basis]
+
+
 def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
-    """Decide m-equivalence, with a conditional-probability witness on
-    failure."""
+    """Decide m-equivalence, with a witness on failure: the first history,
+    in `history_sort_key` order, whose weights differ.
+
+    The forward vector v(h) = (α₁(h), α₂(h)) of unnormalized beliefs lives
+    on the disjoint union of both state sets, with v(h·a·o) = v(h)·M_{a,o}
+    and M_{a,o} = blockdiag(T¹_a·diag O¹_o, T²_a·diag O²_o); h fails when
+    v(h)·f ≠ 0, f being +1 on p1's states and -1 on p2's.  An echelon basis
+    of F_t = span{v(h) : |h| = t}, at most |S₁| + |S₂| vectors, is extended
+    by every M_{a,o} to F_{t+1} (Tzeng 1992), so the first failing length t
+    costs time polynomial in m.  The witness takes one path down to length
+    t: the first o0, then the first (a, o), in sorted symbol order, whose
+    vector is not annihilated by R_k = span{M_w·f : |w| = k}, k the turns
+    left; some extension of such a prefix fails, and none of an earlier one.
+
+    Kernel entries are scaled by one common denominator to integers, which
+    moves neither a span nor a zero.  A state's rows are read once a
+    forward vector reaches it, every row a reachable history of length up
+    to m needs, so a missing one raises as in `core.history_weights`.
+    """
     ensure_similar(p1, p2)
-    w1, w2 = history_weights(p1, m), history_weights(p2, m)
-    for h in sorted(w1.keys() | w2.keys(), key=history_sort_key):
-        if w1.get(h, _ZERO) != w2.get(h, _ZERO):
-            # below length 0 every o0 weight agrees, and h's is positive
-            v1, v2 = (
-                w.get(h, _ZERO) / w[h.prefix(0)] if h.length else w.get(h, _ZERO)
-                for w in (w1, w2)
-            )
-            return Verdict(
-                equivalent=False,
-                witness=ConditionalWitness(
-                    h, h.prefix(0), DeterministicPolicy.script(h), v1, v2
-                ),
-            )
-    return Verdict(equivalent=True)
+    if m < 0:
+        raise InputError(f"turn count must be >= 0, got {m}")
+    envs = (p1, p2)
+    scale = lcm(*(
+        w.denominator
+        for p in envs
+        for d in (p.init, *(d for _, d in p.trans), *(d for _, d in p.obs))
+        for _, w in d.entries
+    ))
+
+    def scaled(dist):
+        return [(x, w.numerator * (scale // w.denominator)) for x, w in dist.entries if w > 0]
+
+    @cache
+    def trans(i: tuple[int, str], a: str) -> list:
+        side, s = i
+        return [((side, s2), w) for s2, w in scaled(envs[side].trans_dist(s, a))]
+
+    @cache
+    def obs(i: tuple[int, str]) -> list:
+        return scaled(envs[i[0]].obs_dist(i[1]))
+
+    def children(v: dict) -> dict[tuple[str, str], dict]:
+        """v·M_{a,o} for each (a, o) where it is not zero."""
+        out: dict[tuple[str, str], dict] = {}
+        for a in p1.actions:
+            moved: dict = {}
+            for i, x in v.items():
+                for j, w in trans(i, a):
+                    moved[j] = moved.get(j, 0) + x * w
+            for j, x in moved.items():
+                if x:
+                    for o, w in obs(j):
+                        out.setdefault((a, o), {})[j] = x * w
+        return out
+
+    def pulled(r: dict, states: set) -> list[dict]:
+        """M_{a,o}·r on `states`, for each (a, o)."""
+        out: dict[tuple[str, str], dict] = {}
+        for a in p1.actions:
+            for i in states:
+                for j, w in trans(i, a):
+                    if j in r:
+                        for o, wo in obs(j):
+                            u = out.setdefault((a, o), {})
+                            u[i] = u.get(i, 0) + w * wo * r[j]
+        return list(out.values())
+
+    start: dict[str, dict] = {}
+    for side, p in enumerate(envs):
+        for s, w in scaled(p.init):
+            for o, wo in obs((side, s)):
+                v = start.setdefault(o, {})
+                v[side, s] = v.get((side, s), 0) + w * wo
+    basis = _span(start.values())
+    reached: list[set] = []  # the states in the forward vectors, per turn
+    failing = None
+    for t in range(m + 1):
+        if t:
+            basis = _span(c for b in basis for c in children(b).values())
+        reached.append(set().union(*basis))
+        if failing is None and any(_signed(b) for b in basis):
+            failing = t
+    if failing is None:
+        return Verdict(equivalent=True)
+
+    # back[j] spans R_{failing - j}, restricted to the states reached at turn j
+    back = [[{i: -1 if i[0] else 1 for i in reached[failing]}]]
+    for j in range(failing - 1, -1, -1):
+        back.insert(0, _span(u for r in back[0] for u in pulled(r, reached[j])))
+
+    def live(v: dict, j: int) -> bool:
+        return any(_dot(v, r) for r in back[j])
+
+    o0 = next(o for o in sorted(start) if live(start[o], 0))
+    h, v = History(o0), start[o0]
+    for j in range(1, failing + 1):
+        kids = children(v)
+        a, o = next(ao for ao in sorted(kids) if live(kids[ao], j))
+        h, v = h.extend(a, o), _primitive(kids[a, o])
+
+    def value(p: Pomdp) -> Rat:
+        # below length 0 every o0 weight agrees, and h's is positive
+        w = _weight(p, h)
+        return w / _weight(p, h.prefix(0)) if failing else w
+
+    return Verdict(
+        equivalent=False,
+        witness=ConditionalWitness(
+            h, h.prefix(0), DeterministicPolicy.script(h), value(p1), value(p2)
+        ),
+    )
 
 
 def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:

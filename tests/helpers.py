@@ -395,6 +395,53 @@ def perturb_one_row(p: Pomdp, rng: random.Random) -> Pomdp:
     return Pomdp.build(p.states, p.actions, p.observations, p.init, trans, dict(p.obs))
 
 
+def fresh_observation_pair(p: Pomdp, k: int, fresh: str = "fresh") -> tuple[Pomdp, Pomdp]:
+    """`p` with an observation `fresh` declared but never emitted, and `p`
+    unrolled for k turns that emits only `fresh` from turn k on.  Histories
+    shorter than k keep their probabilities, so the pair first differs at
+    turn k."""
+
+    def layer(s: str, t: int) -> str:
+        return f"{s}@{t}" if t < k else f"{s}@late"
+
+    observations = p.observations + (fresh,)
+    trans, obs = {}, {}
+    for t in range(k + 1):
+        for s in p.states:
+            obs[layer(s, t)] = p.obs_dist(s) if t < k else FiniteDist.point(fresh)
+            for a in p.actions:
+                trans[(layer(s, t), a)] = {
+                    layer(s2, min(t + 1, k)): w for s2, w in p.trans_dist(s, a).entries
+                }
+    unrolled = Pomdp.build(
+        tuple(layer(s, t) for t in range(k + 1) for s in p.states),
+        p.actions,
+        observations,
+        {layer(s, 0): w for s, w in p.init.entries},
+        trans,
+        obs,
+    )
+    declared = Pomdp.build(p.states, p.actions, observations, p.init, dict(p.trans), dict(p.obs))
+    return declared, unrolled
+
+
+def reversed_alphabets(p: Pomdp) -> Pomdp:
+    """`p` with its actions and observations declared in reverse order."""
+    return Pomdp.build(
+        p.states, p.actions[::-1], p.observations[::-1], p.init, dict(p.trans), dict(p.obs)
+    )
+
+
+def with_zero_observation_entries(p: Pomdp) -> Pomdp:
+    """`p` with an explicit zero-probability entry for every observation a
+    state does not emit; the same environment as far as any weight goes."""
+    obs = {
+        s: FiniteDist.of([(o, dist.prob(o)) for o in p.observations])
+        for s, dist in p.obs
+    }
+    return Pomdp.build(p.states, p.actions, p.observations, p.init, dict(p.trans), obs)
+
+
 def random_det_policy(p: Pomdp, m: int, rng: random.Random) -> DeterministicPolicy:
     from cfpomdp.core import decision_points
 

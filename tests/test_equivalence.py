@@ -36,10 +36,13 @@ from helpers import (
     relabel_states,
     resolution_behavior_distribution,
     resolution_collection_prob,
+    fresh_observation_pair,
     perturb_one_row,
+    reversed_alphabets,
     split_initial_state,
     tiny_three_state,
     tiny_two_state,
+    with_zero_observation_entries,
 )
 
 
@@ -53,6 +56,14 @@ def perturbed_mu(mu):
         [("s00", Fraction(1, 3)), ("s01", Fraction(2, 3))]
     )
     return Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, trans, dict(mu.obs))
+
+
+def with_rows(p, trans=None, obs=None, states=None):
+    return Pomdp.build(
+        states or p.states, p.actions, p.observations, p.init,
+        dict(p.trans) if trans is None else trans,
+        dict(p.obs) if obs is None else obs,
+    )
 
 
 class TestCheckEquiv:
@@ -144,6 +155,30 @@ def o0_odds_pair():
     )
 
 
+def aliased_env():
+    """Three states, two of them emitting the same observation."""
+    half = Fraction(1, 2)
+    return Pomdp.build(
+        ("s0", "s1", "s2"), ("a0", "a1"), ("x", "y", "z"), {"s0": 1},
+        {
+            ("s0", "a0"): {"s1": half, "s0": half},
+            ("s0", "a1"): {"s2": Fraction(5, 6), "s0": Fraction(1, 6)},
+            ("s1", "a0"): {"s2": half, "s0": half},
+            ("s1", "a1"): {"s2": Fraction(5, 9), "s1": Fraction(4, 9)},
+            ("s2", "a0"): {"s2": half, "s1": half},
+            ("s2", "a1"): {"s1": Fraction(3, 7), "s2": Fraction(4, 7)},
+        },
+        {"s0": {"y": 1}, "s1": {"x": 1}, "s2": {"x": 1}},
+    )
+
+
+def equiv_witness(p, q, m):
+    """check_equiv's witness in `brute_check_equiv`'s form (None if
+    equivalent)."""
+    w = check_equiv(p, q, m).witness
+    return None if w is None else (w.h_long, w.h_short, w.policy, w.value_left, w.value_right)
+
+
 class TestCheckEquivOracle:
     def test_matches_prefix_pair_loop(self, corpus, rng):
         # same verdict and same whole witness as the brute-force prefix-pair
@@ -167,18 +202,78 @@ class TestCheckEquivOracle:
         verdicts = set()
         for p, q in pairs:
             for m in range(4):
-                verdict = check_equiv(p, q, m)
-                w = verdict.witness
-                got = None if w is None else (
-                    w.h_long, w.h_short, w.policy, w.value_left, w.value_right
-                )
+                got = equiv_witness(p, q, m)
                 assert got == brute_check_equiv(p, q, m), (p, q, m)
-                verdicts.add(verdict.equivalent)
+                verdicts.add(got is None)
         assert verdicts == {True, False}
+
+    def test_matches_prefix_pair_loop_on_harder_pairs(self, corpus):
+        # unequal state counts, alphabets declared out of sorted order,
+        # zero-probability observation entries, and pairs that first differ
+        # at turn 1, 2 and 3
+        rng = random.Random(606)
+        envs = [corpus["mu"], corpus["mu-double-prime"]]
+        envs += [random_cf_env(rng, n) for n in (2, 3, 4)]
+        pairs = []
+        for p in envs:
+            pairs += [
+                (p, split_initial_state(p)),
+                (reversed_alphabets(p), with_zero_observation_entries(p)),
+                (with_zero_observation_entries(p), perturb_one_row(p, rng)),
+            ]
+        small, large = envs[2], envs[4]
+        if set(small.actions) == set(large.actions):
+            pairs.append((small, large))
+        for k in (1, 2, 3):
+            for p in (corpus["mu"], envs[2], envs[3]):
+                declared, unrolled = fresh_observation_pair(p, k)
+                pairs += [(declared, unrolled), (reversed_alphabets(unrolled), declared)]
+        assert any(len(p.states) != len(q.states) for p, q in pairs)
+        lengths = set()
+        for p, q in pairs:
+            for m in range(4):
+                got = equiv_witness(p, q, m)
+                assert got == brute_check_equiv(p, q, m), (p, q, m)
+                if got is not None:
+                    lengths.add(got[0].length)
+        assert lengths >= {1, 2, 3}
 
     def test_negative_horizon_rejected(self, mu):
         with pytest.raises(InputError):
             check_equiv(mu, mu, -1)
+
+    def test_missing_rows_at_unreachable_states(self, mu, mu_prime):
+        # a rowless extra state and, at m = 1, s00's transition rows are
+        # never read
+        dead = with_rows(mu, states=mu.states + ("dead",))
+        no_s00 = with_rows(mu, trans={k: d for k, d in mu.trans if k[0] != "s00"})
+        for p in (dead, no_s00):
+            assert check_equiv(p, mu_prime, 1).equivalent
+            assert equiv_witness(p, perturbed_mu(mu), 1) == equiv_witness(
+                mu, perturbed_mu(mu), 1
+            )
+        assert check_equiv(dead, mu_prime, 3).equivalent
+
+    def test_missing_row_at_reachable_state(self, mu):
+        no_obs = with_rows(mu, obs={s: d for s, d in mu.obs if s != "s01"})
+        no_trans = with_rows(mu, trans={k: d for k, d in mu.trans if k[0] != "s00"})
+        for p, m in ((no_obs, 1), (no_trans, 2)):
+            for left, right in ((p, mu), (mu, p), (p, perturbed_mu(mu))):
+                with pytest.raises(InputError, match="no (observation|transition) row"):
+                    check_equiv(left, right, m)
+
+    def test_deep_horizon(self):
+        # far too many histories to visit one by one
+        p = aliased_env()
+        assert check_equiv(p, relabel_states(split_initial_state(p)), 50).equivalent
+        declared, unrolled = fresh_observation_pair(p, 30)
+        for m in (30, 40):
+            w = check_equiv(declared, unrolled, m).witness
+            assert w.h_long.length == 30 and w.h_long.steps[-1][1] == "fresh"
+            assert w.h_long.steps[:-1] == (("a0", "x"),) * 29
+            pi = w.policy.as_stochastic()
+            assert w.value_left == cond_history_prob(declared, w.h_long, w.h_short, pi) == 0
+            assert w.value_right == cond_history_prob(unrolled, w.h_long, w.h_short, pi) > 0
 
     def test_initial_observation_odds_compared(self):
         # the odds of o0 differ, so a single agent already tells the pair
@@ -436,19 +531,7 @@ class TestBehaviorDistributionOracle:
 
     def test_aliased_three_states_at_m4(self):
         # 91,828 reduced resolutions at m = 4, merged into 6,015 maps
-        half = Fraction(1, 2)
-        p = Pomdp.build(
-            ("s0", "s1", "s2"), ("a0", "a1"), ("x", "y", "z"), {"s0": 1},
-            {
-                ("s0", "a0"): {"s1": half, "s0": half},
-                ("s0", "a1"): {"s2": Fraction(5, 6), "s0": Fraction(1, 6)},
-                ("s1", "a0"): {"s2": half, "s0": half},
-                ("s1", "a1"): {"s2": Fraction(5, 9), "s1": Fraction(4, 9)},
-                ("s2", "a0"): {"s2": half, "s1": half},
-                ("s2", "a1"): {"s1": Fraction(3, 7), "s2": Fraction(4, 7)},
-            },
-            {"s0": {"y": 1}, "s1": {"x": 1}, "s2": {"x": 1}},
-        )
+        p = aliased_env()
         dist = behavior_distribution(p, 4)
         assert len(dist) == 6015
         assert sum(dist.values()) == 1
@@ -470,14 +553,6 @@ class TestCollectionProbOracle:
                         assert value == brute_collection_prob(p, q.pairs, m)
                     values.add(value == 0)
         assert values == {True, False}  # impossible and possible collections
-
-
-def with_rows(p, trans=None, obs=None, states=None):
-    return Pomdp.build(
-        states or p.states, p.actions, p.observations, p.init,
-        dict(p.trans) if trans is None else trans,
-        dict(p.obs) if obs is None else obs,
-    )
 
 
 class TestCfGuards:
