@@ -229,7 +229,8 @@ class Pomdp:
             (key, as_dist(trans[key])) for key in ordered_trans + sorted(extra_trans)
         )
         ordered_obs = [s for s in states if s in obs]
-        extra_obs = [s for s in obs if s not in states]
+        declared = set(states)
+        extra_obs = [s for s in obs if s not in declared]
         obs_rows = tuple((s, as_dist(obs[s])) for s in ordered_obs + sorted(extra_obs))
         return cls(states, actions, observations, as_dist(init), trans_rows, obs_rows)
 
@@ -303,6 +304,7 @@ def validate(p: Pomdp) -> list[str]:
             seen.add(ident)
 
     states = set(p.states)
+    actions = set(p.actions)
     observations = set(p.observations)
 
     def check_dist(dist: FiniteDist, where: str, alphabet: set[str], alphabet_name: str):
@@ -317,7 +319,7 @@ def validate(p: Pomdp) -> list[str]:
     trans_keys = set()
     for (s, a), dist in p.trans:
         trans_keys.add((s, a))
-        if s not in states or a not in set(p.actions):
+        if s not in states or a not in actions:
             out.append(f"transition row for unknown pair ({s}, {a})")
             continue
         check_dist(dist, f"trans at ({s},{a})", states, "state")

@@ -162,6 +162,22 @@ class TestValidate:
         assert any("unknown state 'nowhere' in init" in v for v in validate(broken))
 
 
+    def test_large_chain_builds_and_validates(self):
+        # 20,000 states: building and validating stay linear in the rows
+        n = 20_000
+        states = tuple(f"c{i}" for i in range(n))
+        trans = {
+            (s, a): FiniteDist.point(states[min(i + 1, n - 1)])
+            for i, s in enumerate(states)
+            for a in ("a", "b")
+        }
+        obs = {s: FiniteDist.point("x") for s in states}
+        obs["ghost"] = FiniteDist.point("x")
+        p = Pomdp.build(states, ("a", "b"), ("x",), {"c0": 1}, trans, obs)
+        assert [s for s, _ in p.obs] == list(states) + ["ghost"]
+        assert validate(p) == ["observation row for unknown state 'ghost'"]
+
+
 class TestReachableHistories:
     def test_mu_horizon_one(self, mu):
         grouped = reachable_histories(mu, 1)
