@@ -2,7 +2,8 @@
 
 Each episode samples one resolution of the environment's randomness from the
 reduced support and rolls every agent through it, so sampled joint
-frequencies estimate exactly the quantities `collection_prob` computes.
+frequencies estimate exactly the quantities `collection_prob` computes; the
+exact column sums the same support, one resolution at a time.
 Identical seeds give identical output.
 """
 
@@ -14,7 +15,6 @@ from fractions import Fraction
 
 from .core import DeterministicPolicy, History, Pomdp, Rat
 from .envpolicy import enumerate_support, rollout
-from .equivalence import CollectionQuery, collection_prob
 from .errors import InputError
 
 _SCALE = 2**64
@@ -44,11 +44,14 @@ def simulate(
     support = enumerate_support(p, m)
 
     # All policies are deterministic, so a resolution fixes the whole joint
-    # outcome; sampling reduces to a histogram over resolutions.
+    # outcome; sampling reduces to a histogram over resolutions, and an
+    # outcome's exact probability is the mass of the resolutions giving it.
     joint_of = [tuple(rollout(p, ep, pi) for pi in policies) for ep, _ in support]
+    exact: dict[tuple[History, ...], Rat] = {}
     cumulative: list[Fraction] = []
     running = Fraction(0)
-    for _, prob in support:
+    for joint, (_, prob) in zip(joint_of, support):
+        exact[joint] = exact.get(joint, Fraction(0)) + prob
         running += prob
         cumulative.append(running)
 
@@ -70,10 +73,8 @@ def simulate(
         if count:
             merged[joint] = merged.get(joint, 0) + count
 
-    outcomes = []
-    for joint in sorted(merged, key=lambda js: tuple(str(h) for h in js)):
-        query = CollectionQuery(
-            tuple((h, pi.as_stochastic()) for h, pi in zip(joint, policies))
-        )
-        outcomes.append((joint, merged[joint], collection_prob(p, query, m)))
-    return SimulationResult(episodes=episodes, seed=seed, outcomes=tuple(outcomes))
+    outcomes = tuple(
+        (joint, merged[joint], exact[joint])
+        for joint in sorted(merged, key=lambda js: tuple(str(h) for h in js))
+    )
+    return SimulationResult(episodes=episodes, seed=seed, outcomes=outcomes)
