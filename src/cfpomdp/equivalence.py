@@ -9,6 +9,9 @@ length-0 histories (the initial observations o0) included.  A failure at
 length 0 is reported as (o0, o0) with the two unconditional probabilities
 of o0; a later one as the pair (h, o0) under the policy playing h's own
 actions, with the conditional values w(h)/w(o0), whose denominators agree.
+No history is visited one by one: w(h) is linear in the forward vector of
+h, so `check_equiv` compares exact spans of forward vectors turn by turn,
+in time polynomial in m, and walks a single path to the witness.
 
 m-counterfactual equivalence: joint probabilities over a shared resolution
 agree for every finite collection of (history, policy) pairs.  Decided by
@@ -174,8 +177,10 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
         for _, w in d.entries
     ))
 
-    def scaled(dist):
-        return [(x, w.numerator * (scale // w.denominator)) for x, w in dist.entries if w > 0]
+    def scaled(dist) -> list:
+        return [
+            (x, w.numerator * (scale // w.denominator)) for x, w in dist.entries if w > 0
+        ]
 
     @cache
     def trans(i: tuple[int, str], a: str) -> list:
@@ -246,7 +251,7 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
         h, v = h.extend(a, o), _primitive(kids[a, o])
 
     def value(p: Pomdp) -> Rat:
-        # below length 0 every o0 weight agrees, and h's is positive
+        # past length 0 every o0 weight agrees, and h's is positive
         w = _weight(p, h)
         return w / _weight(p, h.prefix(0)) if failing else w
 

@@ -161,7 +161,6 @@ class TestValidate:
         )
         assert any("unknown state 'nowhere' in init" in v for v in validate(broken))
 
-
     def test_large_chain_builds_and_validates(self):
         # 20,000 states: building and validating stay linear in the rows
         n = 20_000
