@@ -66,8 +66,10 @@ def handle_input_errors(f):
 def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
     """A policy argument is an action id (constant policy), an inline
     ``history -> action`` table with ',' between entries, or ``@file`` with
-    one such entry per line."""
+    one such entry per line; empty text (a length-0 witness) is the empty table."""
     spec = spec.strip()
+    if not spec:
+        return DeterministicPolicy(())
     if spec.startswith("@"):
         lines = Path(spec[1:]).read_text().splitlines()
         entries = [ln.split("#", 1)[0].strip() for ln in lines]

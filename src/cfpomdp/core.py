@@ -135,11 +135,6 @@ class History:
             raise InputError(f"no length-{t} prefix of a length-{self.length} history")
         return History(self.initial_obs, self.steps[:t])
 
-    def prefixes(self) -> Iterable["History"]:
-        """All prefixes, shortest first, ending with the history itself."""
-        for t in range(self.length + 1):
-            yield self.prefix(t)
-
     def is_prefix_of(self, other: "History") -> bool:
         return (
             self.initial_obs == other.initial_obs

@@ -5,10 +5,11 @@ minimization it induces.
 The constructed environment has one initial state per reduced resolution of
 the source, carrying that resolution's probability; transitions and
 observations replay the resolution deterministically, with the turn index
-advanced alongside.  Replay states are behavior trees labelled by (base
-state, observation), so one state stands for every replay position with the
-same future, and resolutions that share a tail share its states; initial
-states remain in probability-preserving bijection with the reduced support.
+advanced alongside.  Replay states are the nodes of `envpolicy._behaviors`
+labelled by (base state, observation), so one state stands for every replay
+position with the same future, and resolutions that share a tail share its
+states; a labelled tree fixes its resolution, so initial states remain in
+probability-preserving bijection with the reduced support, in its order.
 States at the final turn self-loop under every action with their own
 observation, keeping the transition kernel total without adding pre-horizon
 behavior.
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteDist, Pomdp, Rat
-from .envpolicy import BehaviorMap, behavior_tree, enumerate_support
-from .errors import DeterminismError, InputError
+from .envpolicy import BehaviorMap, _behaviors, behavior_tree
+from .errors import DeterminismError
 
 _ZERO = Fraction(0)
 
@@ -51,41 +52,35 @@ def determinize(p: Pomdp, m: int) -> Pomdp:
     """Build a deterministic environment that is m-counterfactually
     equivalent to `p`, with all randomness moved into the initial
     distribution over per-resolution replay states."""
+    nodes, roots = _behaviors(p, m, lambda s, o: (s, o))
     # Replay states in first-encounter (pre-order) order, with their turns.
-    turn_of: dict[tuple, int] = {}
-    init_mass: dict[tuple, Rat] = {}
-
-    def register(node: tuple, turn: int) -> None:
-        if node not in turn_of:
-            turn_of[node] = turn
-            for child in node[1]:
-                register(child, turn + 1)
-
-    for ep, prob in enumerate_support(p, m):
-        node = behavior_tree(p.actions, m, lambda s, t: (s, ep.obs_at(s, t)), ep.next_state)
-        root = node(ep.init_state, 0)
-        register(root, 0)
-        init_mass[root] = init_mass.get(root, _ZERO) + prob
+    turn_of: dict[int, int] = {}
+    stack = [(root, 0) for root in reversed(roots)]
+    while stack:
+        i, turn = stack.pop()
+        if i not in turn_of:
+            turn_of[i] = turn
+            stack.extend((child, turn + 1) for child in reversed(nodes[i][1]))
 
     # Name states base@turn, disambiguated by first-encounter index when the
     # same (base, turn) pair carries several distinct behaviors.
-    bases = [(node[0][0], turn) for node, turn in turn_of.items()]
+    bases = [(nodes[i][0][0], turn) for i, turn in turn_of.items()]
     shared = Counter(bases)
     seen: Counter[tuple[str, int]] = Counter()
-    names: dict[tuple, str] = {}
-    for node, (s, turn) in zip(turn_of, bases):
+    names: dict[int, str] = {}
+    for i, (s, turn) in zip(turn_of, bases):
         if shared[(s, turn)] == 1:
-            names[node] = f"{s}@{turn}"
+            names[i] = f"{s}@{turn}"
         else:
             # '#' starts a comment in the file format, so disambiguate with '.'
-            names[node] = f"{s}@{turn}.{seen[(s, turn)]}"
+            names[i] = f"{s}@{turn}.{seen[(s, turn)]}"
             seen[(s, turn)] += 1
 
-    init = FiniteDist.of([(names[root], mass) for root, mass in init_mass.items()])
+    init = FiniteDist.of([(names[root], mass) for root, mass in roots.items()])
     trans = {}
     obs = {}
-    for node, name in names.items():
-        (_, o), children = node
+    for i, name in names.items():
+        (_, o), children = nodes[i]
         obs[name] = FiniteDist.point(o)
         targets = [names[child] for child in children] if children else [name] * len(p.actions)
         for a, target in zip(p.actions, targets):
@@ -123,12 +118,6 @@ class BehaviorPartition:
 
     def masses(self) -> dict[BehaviorMap, Rat]:
         return {bm: mass for bm, _, mass in self.cells}
-
-    def cell_of(self, bm: BehaviorMap) -> tuple[str, ...]:
-        for candidate, members, _ in self.cells:
-            if candidate == bm:
-                return members
-        raise InputError("behavior map not present in the partition")
 
 
 def behavior_partition(p: Pomdp, m: int) -> BehaviorPartition:

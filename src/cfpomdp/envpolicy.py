@@ -151,6 +151,7 @@ def _iter_support(p: Pomdp, m: int):
     for s0, w0 in p.init.entries:
         if w0 > 0:
             yield from obs_stage(0, {s0}, w0, (s0, ()), ())
+    del obs_stage, trans_stage  # they refer to each other: break the cycle
 
 
 def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], ...]:
@@ -159,8 +160,69 @@ def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], 
     to exactly 1.
 
     Each call recomputes the support: nothing is cached.  Its callers are
-    `determinize`, `env_policy_posterior`, `simulate` and `env-policies`."""
+    `env_policy_posterior` and `env-policies`, whose output is per resolution."""
     return tuple(_iter_support(p, m))
+
+
+def _product(rows, weight: Rat = _ONE) -> list[tuple[tuple, Rat]]:
+    """Every choice of one (item, weight) per row, weighted by their product;
+    the first row varies slowest."""
+    out = [((), weight)]
+    for row in rows:
+        out = [(xs + (x,), w if v == 1 else w * v) for xs, w in out for x, v in row]
+    return out
+
+
+def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
+    """The reduced resolutions' behaviors as one table of interned nodes, as
+    in a reduced BDD: returns the nodes in id order and {root id: mass}.  A
+    node is (label(s, o), child ids in declared action order), s a state and
+    o its observation; nodes at turn m have no children.
+
+    No resolution is enumerated: F(t, V), memoized over the turn t and the
+    states V visited at t, is a distribution over tuples of node ids, one
+    per state of V.  Its observation choice on V varies slowest, then each
+    choice of successors on V x actions against F(t + 1, V'), as in
+    `_iter_support`: with label (s, o), which fixes the resolution, the
+    roots are `enumerate_support`'s, in its order and with its masses.
+    Rows are read as there, so a missing one raises alike.
+    """
+    if m < 1:
+        raise InputError(f"turn count must be >= 1, got {m}")
+    n = len(p.actions)
+    ids: dict[tuple, int] = {}
+    memo: dict[tuple, dict[tuple[int, ...], Rat]] = {}
+
+    def dist(t: int, visited: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+        if (t, visited) in memo:
+            return memo[t, visited]
+        obs_rows = [[(label(s, o), w) for o, w in p.obs_dist(s).entries if w > 0] for s in visited]
+        children = {((),) * len(visited): _ONE} if t == m else {}
+        if t < m and all(obs_rows):
+            rows = [[e for e in p.trans_dist(s, a).entries if e[1] > 0]
+                    for s in visited for a in p.actions]
+            for succ, weight in _product(rows):
+                nxt = tuple(sorted(set(succ), key=p.state_index.__getitem__))
+                child_at = [[nxt.index(s2) for s2 in succ[i:i + n]] for i in range(0, len(succ), n)]
+                for key, mass in dist(t + 1, nxt).items():
+                    vec = tuple(tuple(key[k] for k in row) for row in child_at)
+                    children[vec] = children.get(vec, _ZERO) + weight * mass
+        # one list per successor choice, each in observation-choice order
+        per_vec = [_product([[(ids.setdefault((lab, kids), len(ids)), w) for lab, w in row]
+                             for row, kids in zip(obs_rows, vec)], mass)
+                   for vec, mass in children.items()]
+        out = memo[t, visited] = {}
+        for picks in zip(*per_vec):  # the observation choice outermost
+            out.update(picks)
+        return out
+
+    roots: dict[int, Rat] = {}
+    for s0, w0 in p.init.entries:
+        if w0 > 0:
+            for (root,), mass in dist(0, (s0,)).items():
+                roots[root] = roots.get(root, _ZERO) + w0 * mass
+    del dist  # it refers to itself: break the cycle so its memo dies here
+    return list(ids), roots
 
 
 def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
@@ -178,18 +240,6 @@ def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
             raise InputError(f"unknown symbol in choice ({s})->{o}")
         prob *= p.obs_dist(s).prob(o)
     return prob
-
-
-def rollout(p: Pomdp, ep: EnvironmentPolicy, pi: DeterministicPolicy) -> History:
-    """The unique history generated by a deterministic policy inside one
-    resolution of the environment."""
-    state = ep.init_state
-    h = History(ep.obs_at(state, 0))
-    for turn in range(1, ep.horizon + 1):
-        action = pi.action_at(h)
-        state = ep.next_state(state, action, turn)
-        h = h.extend(action, ep.obs_at(state, turn))
-    return h
 
 
 def history_prob_given_ep(
@@ -309,7 +359,7 @@ class BehaviorMap:
 
 def behavior_map(p: Pomdp, ep: EnvironmentPolicy, m: int) -> BehaviorMap:
     """Behavior map of one resolution: every deterministic policy is sent to
-    its rollout."""
+    the history it generates there."""
     if m != ep.horizon:
         raise InputError(
             f"turn count {m} does not match environment policy horizon {ep.horizon}"

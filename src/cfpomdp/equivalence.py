@@ -22,8 +22,9 @@ determines all collection probabilities (stochastic policies reduce to
 convex combinations of deterministic ones); conversely the distribution is
 recovered from collections that pin down a full behavior map.  Both
 `behavior_distribution` and `collection_prob` work from that distribution,
-which a dynamic program over (turn, visited states) builds without
-enumerating resolutions.
+which `envpolicy._behaviors`, a dynamic program over (turn, visited states),
+builds without enumerating resolutions; labelled by observation, its nodes
+are the behavior maps.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .core import (
     Rat,
     StochasticPolicy,
 )
-from .envpolicy import BehaviorMap
+from .envpolicy import BehaviorMap, _behaviors
 from .errors import InputError, SimilarityError
 from .trajectory import _weight
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -291,63 +291,20 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     return total
 
 
-def _product(rows, weight: Rat = _ONE) -> list[tuple[tuple, Rat]]:
-    """Every choice of one (item, weight) per row, weighted by their product."""
-    out = [((), weight)]
-    for row in rows:
-        out = [(xs + (x,), w if v == 1 else w * v) for xs, w in out for x, v in row]
-    return out
-
-
 def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     """Pushforward of the resolution distribution through the behavior map;
     resolutions with identical maps merge.  Values sum to exactly 1.
 
-    No resolution is enumerated: F(t, V), memoized over the turn t and the
-    states V visited at t, is a distribution over tuples of interned node
-    ids (observation at (s, t), one child id per sorted action), one per
-    state of V.  It sums each choice of successors on V x actions against
-    F(t + 1, V'), and observation choices multiply in.  Rows are read only
-    for visited states, as in `enumerate_support`.
+    No resolution is enumerated: the nodes of `envpolicy._behaviors`,
+    labelled by observation alone, are the interned maps, whose children
+    are put in sorted action order here.
     """
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
+    nodes, roots = _behaviors(p, m, lambda s, o: o)
     actions = tuple(sorted(p.actions))
     slot = [p.actions.index(a) for a in actions]
-    ids: dict[tuple, int] = {}
-    memo: dict[tuple, dict[tuple[int, ...], Rat]] = {}
-
-    def dist(t: int, visited: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
-        if (t, visited) in memo:
-            return memo[t, visited]
-        obs_rows = [[e for e in p.obs_dist(s).entries if e[1] > 0] for s in visited]
-        children = {((),) * len(visited): _ONE} if t == m else {}
-        if t < m and all(obs_rows):
-            rows = [[e for e in p.trans_dist(s, a).entries if e[1] > 0]
-                    for s in visited for a in p.actions]
-            for succ, weight in _product(rows):
-                nxt = tuple(sorted(set(succ), key=p.state_index.__getitem__))
-                child_at = [[nxt.index(succ[i + j]) for j in slot]
-                            for i in range(0, len(succ), len(slot))]
-                for key, mass in dist(t + 1, nxt).items():
-                    vec = tuple(tuple(key[k] for k in row) for row in child_at)
-                    children[vec] = children.get(vec, _ZERO) + weight * mass
-        out = memo[t, visited] = {}
-        for vec, mass in children.items():
-            nodes = [[(ids.setdefault((o, kids), len(ids)), w) for o, w in row]
-                     for row, kids in zip(obs_rows, vec)]
-            out.update(_product(nodes, mass))
-        return out
-
-    roots: dict[int, Rat] = {}
-    for s0, w0 in p.init.entries:
-        if w0 > 0:
-            for (root,), mass in dist(0, (s0,)).items():
-                roots[root] = roots.get(root, _ZERO) + w0 * mass
-    del dist  # it refers to itself: break the cycle so its memo dies here
     trees: list[tuple] = []
-    for o, kids in ids:
-        trees.append((o, tuple(trees[i] for i in kids)))
+    for o, kids in nodes:
+        trees.append((o, tuple(trees[kids[j]] for j in slot) if kids else ()))
     return {BehaviorMap(actions, trees[i]): mass for i, mass in roots.items()}
 
 

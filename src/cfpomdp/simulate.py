@@ -1,9 +1,10 @@
 """Seeded Monte Carlo cross-check for joint history probabilities.
 
-Each episode samples one resolution of the environment's randomness from the
-reduced support and rolls every agent through it, so sampled joint
-frequencies estimate exactly the quantities `collection_prob` computes; the
-exact column sums the same support, one resolution at a time.
+Each episode samples one initial state of the deterministic twin, which
+stands for one reduced resolution with its probability, and walks every
+agent down that state's behavior map, so sampled joint frequencies estimate
+exactly the quantities `collection_prob` computes; the exact column sums
+the same masses by joint outcome.
 Identical seeds give identical output.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DeterministicPolicy, History, Pomdp, Rat
-from .envpolicy import enumerate_support, rollout
+from .determinize import _maps, determinize
 from .errors import InputError
 
 _SCALE = 2**64
@@ -41,12 +42,13 @@ def simulate(
         raise InputError("need at least one agent policy")
     if episodes < 1:
         raise InputError(f"episodes must be >= 1, got {episodes}")
-    support = enumerate_support(p, m)
+    twin = determinize(p, m)
+    map_of, support = _maps(twin, m), twin.init.entries
 
     # All policies are deterministic, so a resolution fixes the whole joint
     # outcome; sampling reduces to a histogram over resolutions, and an
     # outcome's exact probability is the mass of the resolutions giving it.
-    joint_of = [tuple(rollout(p, ep, pi) for pi in policies) for ep, _ in support]
+    joint_of = [tuple(map_of(s).history_for(pi) for pi in policies) for s, _ in support]
     exact: dict[tuple[History, ...], Rat] = {}
     cumulative: list[Fraction] = []
     running = Fraction(0)

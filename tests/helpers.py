@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from cfpomdp import (
@@ -22,12 +23,27 @@ from cfpomdp.core import history_sort_key
 from cfpomdp.envpolicy import (
     _iter_support,
     behavior_map,
+    behavior_tree,
     enumerate_support,
     history_prob_given_ep,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def prefixes(h: History) -> list[History]:
+    """All prefixes of `h`, shortest first, ending with `h` itself."""
+    return [h.prefix(t) for t in range(h.length + 1)]
+
+
+def cell_of(partition, bm) -> tuple[str, ...]:
+    """The members of the cell of `partition` (a `BehaviorPartition`) whose
+    behavior map is `bm`."""
+    for candidate, members, _ in partition.cells:
+        if candidate == bm:
+            return members
+    raise KeyError("behavior map not present in the partition")
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +118,7 @@ def brute_check_equiv(p1: Pomdp, p2: Pomdp, m: int):
         if values[0] != values[1]:
             return (o0, o0, DeterministicPolicy.script(o0), *values)
     for h_long in sorted(union, key=history_sort_key):
-        for h_short in h_long.prefixes():
+        for h_short in prefixes(h_long):
             values = []
             for i, p in enumerate((p1, p2)):
                 short = weight(i, p, h_short)
@@ -220,6 +236,60 @@ def resolution_collection_prob(p: Pomdp, q, m: int) -> Fraction:
                 break
         total += term
     return total
+
+
+def rollout(p: Pomdp, ep, pi: DeterministicPolicy) -> History:
+    """The unique history a deterministic policy generates inside one
+    resolution of the environment, turn by turn."""
+    state = ep.init_state
+    h = History(ep.obs_at(state, 0))
+    for turn in range(1, ep.horizon + 1):
+        action = pi.action_at(h)
+        state = ep.next_state(state, action, turn)
+        h = h.extend(action, ep.obs_at(state, turn))
+    return h
+
+
+def resolution_twin(p: Pomdp, m: int) -> Pomdp:
+    """The deterministic twin built one resolution at a time: a behavior
+    tree labelled by (state, observation) per reduced resolution, its nodes
+    named base@turn in first-encounter pre-order (with a '.k' suffix when a
+    (base, turn) pair carries several behaviors), leaves self-looping."""
+    turn_of: dict[tuple, int] = {}
+    init_mass: dict[tuple, Fraction] = {}
+
+    def register(node: tuple, turn: int) -> None:
+        if node not in turn_of:
+            turn_of[node] = turn
+            for child in node[1]:
+                register(child, turn + 1)
+
+    for ep, prob in enumerate_support(p, m):
+        node = behavior_tree(p.actions, m, lambda s, t: (s, ep.obs_at(s, t)), ep.next_state)
+        root = node(ep.init_state, 0)
+        register(root, 0)
+        init_mass[root] = init_mass.get(root, ZERO) + prob
+
+    bases = [(node[0][0], turn) for node, turn in turn_of.items()]
+    shared = Counter(bases)
+    seen: Counter = Counter()
+    names: dict[tuple, str] = {}
+    for node, (s, turn) in zip(turn_of, bases):
+        if shared[(s, turn)] == 1:
+            names[node] = f"{s}@{turn}"
+        else:
+            names[node] = f"{s}@{turn}.{seen[(s, turn)]}"
+            seen[(s, turn)] += 1
+
+    trans, obs = {}, {}
+    for node, name in names.items():
+        (_, o), children = node
+        obs[name] = FiniteDist.point(o)
+        targets = [names[child] for child in children] if children else [name] * len(p.actions)
+        for a, target in zip(p.actions, targets):
+            trans[(name, a)] = FiniteDist.point(target)
+    init = FiniteDist.of([(names[root], mass) for root, mass in init_mass.items()])
+    return Pomdp.build(tuple(names.values()), p.actions, p.observations, init, trans, obs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from cfpomdp.cli import main
 
 from conftest import record_acceptance
 from helpers import (
+    cell_of,
     perturb_one_row,
     random_pomdp,
     random_stochastic_policy,
@@ -203,7 +204,7 @@ def test_criterion_7_universal_transfer(tmp_path):
                     (mu_star.init.prob(s) * weights[s] for s in members), Fraction(0)
                 )
                 tgt_total = sum(
-                    (det.init.prob(s) * moved_weights[s] for s in tgt_cells.cell_of(bm)),
+                    (det.init.prob(s) * moved_weights[s] for s in cell_of(tgt_cells, bm)),
                     Fraction(0),
                 )
                 assert src_total == tgt_total

@@ -72,6 +72,27 @@ class TestEquivCommands:
         assert lines[1] == "witness:"
         assert lines[2] == "o0 a0 s00 | o0 | a0 | 1/2 | 1/3"
 
+    def test_initial_observation_witness_replays(self, runner, tmp_path):
+        # start odds 1/2:1/2 against 1/3:2/3 on two self-looping states
+        files = []
+        for name, (wu, wv) in (("left", ("1/2", "1/2")), ("right", ("1/3", "2/3"))):
+            env = tmp_path / f"{name}.env"
+            env.write_text(
+                "states: u v\nactions: a b\nobservations: x y\n"
+                f"init: u {wu} | v {wv}\nobs: u -> x 1\nobs: v -> y 1\n"
+                + "".join(f"trans: {s} {a} -> {s} 1\n" for s in "uv" for a in "ab")
+            )
+            files.append(str(env))
+        result = invoke(runner, "equiv", *files, "--m", "1")
+        assert result.exit_code == 1
+        line = result.output.strip().splitlines()[2]
+        assert line == "x | x |  | 1/2 | 1/3"
+        h, _, policy, left, right = (part.strip() for part in line.split("|"))
+        for env, value in zip(files, (left, right)):
+            replay = invoke(runner, "collection-prob", env, "--m", "1", "--pair", f"{h} ; {policy}")
+            assert replay.exit_code == 0
+            assert replay.output.strip() == value
+
     def test_cf_equiv_equivalent(self, runner):
         result = invoke(runner, "cf-equiv", MU, MU_PRIME, "--m", "1")
         assert result.exit_code == 0

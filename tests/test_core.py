@@ -16,7 +16,7 @@ from cfpomdp import (
     validate,
 )
 
-from helpers import random_pomdp, tiny_two_state
+from helpers import prefixes, random_pomdp, tiny_two_state
 
 
 class TestParseRational:
@@ -91,7 +91,7 @@ class TestHistory:
 
     def test_prefixes(self):
         h = History.parse("o0 a0 s00 a1 s01")
-        assert [str(q) for q in h.prefixes()] == ["o0", "o0 a0 s00", "o0 a0 s00 a1 s01"]
+        assert [str(q) for q in prefixes(h)] == ["o0", "o0 a0 s00", "o0 a0 s00 a1 s01"]
         assert h.prefix(0).is_prefix_of(h)
         assert h.is_prefix_of(h)
         assert not h.is_prefix_of(h.prefix(1))

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cfpomdp import (
     DeterminismError,
+    DeterministicPolicy,
     FiniteDist,
     InputError,
     Pomdp,
@@ -17,11 +19,22 @@ from cfpomdp import (
     initial_behavior_map,
     is_deterministic,
     minimize,
-    rollout,
+    serialize_env,
+    simulate,
     validate,
 )
+from cfpomdp import envpolicy
 
-from helpers import det_rollouts, random_pomdp, tiny_two_state
+from helpers import (
+    det_rollouts,
+    random_cf_env,
+    random_pomdp,
+    resolution_twin,
+    reversed_alphabets,
+    rollout,
+    tiny_two_state,
+    with_zero_observation_entries,
+)
 
 
 def fully_deterministic_env():
@@ -130,6 +143,55 @@ class TestDeterminize:
         for (ep, _), (det_ep, _) in zip(support, det_support):
             for pi in enumerate_det_policies(mu, 1):
                 assert rollout(mu, ep, pi) == rollout(d, det_ep, pi)
+
+
+class TestResolutionTwinOracle:
+    """`determinize` reads the twin off the behavior dynamic program; the
+    oracle builds one labelled behavior tree per enumerated resolution."""
+
+    def test_files_match(self, corpus):
+        rng = random.Random(5150)
+        envs = list(corpus.values())
+        envs += [random_pomdp(rng, horizon_cap=3) for _ in range(4)]
+        envs += [random_cf_env(rng, n, resolution_cap=600) for n in (2, 3, 3)]
+        envs += [variant(p) for p in envs[4:] for variant in
+                 (with_zero_observation_entries, reversed_alphabets)]
+        for p in envs:
+            for m in (1, 2, 3):
+                assert serialize_env(determinize(p, m)) == serialize_env(resolution_twin(p, m))
+
+    def test_missing_row_at_unreachable_state(self, mu):
+        # a declared state that nothing reaches has no rows at all
+        p = Pomdp.build(
+            mu.states + ("dead",), mu.actions, mu.observations, mu.init, dict(mu.trans), dict(mu.obs)
+        )
+        for m in (1, 2):
+            assert serialize_env(determinize(p, m)) == serialize_env(resolution_twin(p, m))
+
+    def test_missing_row_at_reachable_state(self, mu):
+        trans = dict(mu.trans)
+        del trans[("s01", "a1")]
+        obs = dict(mu.obs)
+        del obs["s10"]
+        for p in (
+            Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, trans, dict(mu.obs)),
+            Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, dict(mu.trans), obs),
+            Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, trans, obs),
+        ):
+            with pytest.raises(InputError) as expected:
+                resolution_twin(p, 2)
+            with pytest.raises(InputError) as got:
+                determinize(p, 2)
+            assert str(got.value) == str(expected.value)
+
+    def test_no_resolution_enumerated(self, mu, monkeypatch):
+        def refuse(p, m):
+            raise AssertionError("resolutions enumerated")
+
+        monkeypatch.setattr(envpolicy, "_iter_support", refuse)
+        pi = DeterministicPolicy.constant(mu, 2, "a1")
+        assert is_deterministic(determinize(mu, 2))
+        assert simulate(mu, 2, [pi], episodes=10, seed=3).episodes == 10
 
 
 class TestInitialBehaviorMap:

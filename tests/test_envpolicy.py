@@ -17,7 +17,6 @@ from cfpomdp import (
     env_policy_prob,
     history_prob,
     history_prob_given_ep,
-    rollout,
 )
 from cfpomdp.core import decision_points
 
@@ -30,6 +29,7 @@ from helpers import (
     reachable_up_to,
     reduce_resolution,
     resolution_rollouts,
+    rollout,
     tiny_three_state,
     tiny_two_state,
 )

@@ -23,6 +23,7 @@ from cfpomdp import (
     enumerate_support,
     env_policy_posterior,
     history_prob,
+    simulate,
 )
 
 from helpers import (
@@ -617,12 +618,26 @@ def test_queried_environment_is_freed():
     assert ref() is None
 
 
-def test_behavior_distribution_leaves_no_cycles(mu, mu_double_prime):
-    # its memo is freed by reference counting, not by the cyclic collector
+@pytest.mark.parametrize(
+    "name",
+    ["check_cf_equiv", "determinize", "simulate", "enumerate_support", "env_policy_posterior"],
+)
+def test_public_call_leaves_no_cycles(name, mu, mu_double_prime):
+    # memos and self-referring closures are freed by reference counting,
+    # not left for the cyclic collector
+    pi = DeterministicPolicy.constant(mu, 2, "a0")
+    h = History.parse("o0 a0 s00")
+    calls = {
+        "check_cf_equiv": lambda: check_cf_equiv(mu, mu_double_prime, 2),
+        "determinize": lambda: determinize(mu, 2),
+        "simulate": lambda: simulate(mu, 2, [pi], 10, 1),
+        "enumerate_support": lambda: enumerate_support(mu_double_prime, 2),
+        "env_policy_posterior": lambda: env_policy_posterior(mu, h, pi.as_stochastic(), 2),
+    }
     gc.collect()
     gc.disable()
     try:
-        check_cf_equiv(mu, mu_double_prime, 2)
+        calls[name]()
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -27,7 +27,7 @@ from cfpomdp.core import history_sort_key
 from cfpomdp.determinize import behavior_partition
 from cfpomdp.learning import _first_difference
 
-from helpers import random_pomdp, reachable_up_to
+from helpers import cell_of, random_pomdp, reachable_up_to
 
 STAR_STATES = ("s0^00", "s0^01", "s0^10", "s0^11")
 
@@ -122,7 +122,7 @@ class TestTransfer:
         src = behavior_partition(mu_star, 1)
         tgt = behavior_partition(target, 1)
         src_map = next(bm for bm, members, _ in src.cells if members == ("s0^00",))
-        assert carrier in tgt.cell_of(src_map)
+        assert carrier in cell_of(tgt, src_map)
 
     def test_constant_weights_stay_constant(self, mu, mu_star):
         c = Fraction(5, 9)
@@ -187,7 +187,7 @@ class TestTransfer:
             src_total = sum(
                 (mu_star.init.prob(s) * weights[s] for s in members), Fraction(0)
             )
-            tgt_members = tgt.cell_of(bm)
+            tgt_members = cell_of(tgt, bm)
             tgt_total = sum(
                 (target.init.prob(s) * tgt_weights[s] for s in tgt_members),
                 Fraction(0),

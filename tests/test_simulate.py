@@ -1,8 +1,53 @@
 import random
+from fractions import Fraction
 
-from cfpomdp import CollectionQuery, DeterministicPolicy, collection_prob, simulate
+from cfpomdp import (
+    CollectionQuery,
+    DeterministicPolicy,
+    collection_prob,
+    enumerate_support,
+    simulate,
+)
 
-from helpers import random_det_policy
+from helpers import random_cf_env, random_det_policy, random_pomdp, rollout
+
+
+def resolution_simulation(p, m, policies, episodes, seed):
+    """Sorted (joint, count, exact) outcomes, sampling the enumerated
+    support with `simulate`'s draws and rolling each policy through the
+    drawn resolution."""
+    support = enumerate_support(p, m)
+    cumulative, running = [], Fraction(0)
+    for _, prob in support:
+        running += prob
+        cumulative.append(running)
+    exact, counts = {}, {}
+    for ep, prob in support:
+        joint = tuple(rollout(p, ep, pi) for pi in policies)
+        exact[joint] = exact.get(joint, Fraction(0)) + prob
+    rng = random.Random(seed)
+    for _ in range(episodes):
+        draw = Fraction(rng.getrandbits(64), 2**64)
+        ep = support[next(i for i, c in enumerate(cumulative) if draw < c)][0]
+        joint = tuple(rollout(p, ep, pi) for pi in policies)
+        counts[joint] = counts.get(joint, 0) + 1
+    return tuple(
+        (joint, counts[joint], exact[joint])
+        for joint in sorted(counts, key=lambda js: tuple(str(h) for h in js))
+    )
+
+
+def test_matches_enumerated_resolutions(corpus):
+    rng = random.Random(2718)
+    envs = list(corpus.values()) + [random_pomdp(rng, horizon_cap=3) for _ in range(3)]
+    envs += [random_cf_env(rng, 3, resolution_cap=400)]
+    for p in envs:
+        for m in (1, 2, 3):
+            for agents in (1, 2, 3):
+                policies = [random_det_policy(p, m, rng) for _ in range(agents)]
+                seed = rng.randrange(1000)
+                result = simulate(p, m, policies, episodes=150, seed=seed)
+                assert result.outcomes == resolution_simulation(p, m, policies, 150, seed)
 
 
 def test_exact_column_is_the_collection_probability(corpus):
