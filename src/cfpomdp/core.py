@@ -39,7 +39,12 @@ def as_rational(value: int | Fraction | str) -> Rat:
         return parse_rational(value)
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise InputError(f"not an exact rational: {value!r} (use an int, a Fraction or 'p/q')")
+    raise _inexact(value)
+
+
+def _inexact(value) -> InputError:
+    """The error for a value that is not an exact rational."""
+    return InputError(f"not an exact rational: {value!r} (use an int, a Fraction or 'p/q')")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +61,11 @@ class FiniteDist:
     """
 
     entries: tuple[tuple[str, Rat], ...]
+
+    def __post_init__(self):
+        for _, value in self.entries:
+            if not isinstance(value, (int, Fraction)):
+                raise _inexact(value)
 
     @classmethod
     def of(cls, items: Mapping[str, Rat] | Iterable[tuple[str, Rat]]) -> "FiniteDist":

@@ -12,7 +12,6 @@ probability of interest unchanged while keeping enumeration tractable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,69 +100,6 @@ class EnvironmentPolicy:
         return f"init {self.init_state} | trans {trans or '-'} | obs {obs or '-'}"
 
 
-def _iter_support(p: Pomdp, m: int):
-    """Depth-first enumeration of reduced environment policies with their
-    aggregated probabilities, in canonical declaration order."""
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
-    state_order = p.state_index
-
-    def obs_stage(turn, visited, prob, trans_acc, obs_acc):
-        rows = sorted(visited, key=state_order.__getitem__)
-        row_choices = [
-            [(s, o, w) for o, w in p.obs_dist(s).entries if w > 0] for s in rows
-        ]
-        for combo in itertools.product(*row_choices):
-            prob2 = prob
-            for _, _, w in combo:
-                prob2 *= w
-            obs_acc2 = obs_acc + tuple(((s, turn), o) for s, o, _ in combo)
-            if turn == m:
-                yield EnvironmentPolicy(
-                    init_state=trans_acc[0],
-                    trans_choice=trans_acc[1],
-                    obs_choice=obs_acc2,
-                    horizon=m,
-                ), prob2
-            else:
-                yield from trans_stage(turn + 1, rows, prob2, trans_acc, obs_acc2)
-
-    def trans_stage(turn, current, prob, trans_acc, obs_acc):
-        rows = [(s, a) for s in current for a in p.actions]
-        row_choices = [
-            [(s, a, s2, w) for s2, w in p.trans_dist(s, a).entries if w > 0]
-            for s, a in rows
-        ]
-        for combo in itertools.product(*row_choices):
-            prob2 = prob
-            for _, _, _, w in combo:
-                prob2 *= w
-            choices = tuple(((s, a, turn), s2) for s, a, s2, _ in combo)
-            visited = {s2 for _, _, s2, _ in combo}
-            yield from obs_stage(
-                turn,
-                visited,
-                prob2,
-                (trans_acc[0], trans_acc[1] + choices),
-                obs_acc,
-            )
-
-    for s0, w0 in p.init.entries:
-        if w0 > 0:
-            yield from obs_stage(0, {s0}, w0, (s0, ()), ())
-    del obs_stage, trans_stage  # they refer to each other: break the cycle
-
-
-def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], ...]:
-    """All reduced environment policies of positive probability, with their
-    aggregated probabilities.  Probabilities are strictly positive and sum
-    to exactly 1.
-
-    Each call recomputes the support: nothing is cached.  Its callers are
-    `env_policy_posterior` and `env-policies`, whose output is per resolution."""
-    return tuple(_iter_support(p, m))
-
-
 def _product(rows, weight: Rat = _ONE) -> list[tuple[tuple, Rat]]:
     """Every choice of one (item, weight) per row, weighted by their product;
     the first row varies slowest."""
@@ -171,6 +107,49 @@ def _product(rows, weight: Rat = _ONE) -> list[tuple[tuple, Rat]]:
     for row in rows:
         out = [(xs + (x,), w if v == 1 else w * v) for xs, w in out for x, v in row]
     return out
+
+
+def _iter_support(p: Pomdp, m: int, t: int = 0, visited: tuple[str, ...] | None = None,
+                  mass: Rat = _ONE, init: str = "", trans: tuple = (), obs: tuple = ()):
+    """Depth-first enumeration of reduced environment policies with their
+    aggregated probabilities, in canonical declaration order.
+
+    Called as `_iter_support(p, m)`, it recurses on each initial state; a
+    deeper call is at turn t, with the states `visited` at t in declared
+    order and the mass and choices so far.  The orders are `_product`'s,
+    as in `_behaviors`: the observation choice on the visited states varies
+    slowest, then the successor choice on visited x actions.
+    """
+    if visited is None:
+        if m < 1:
+            raise InputError(f"turn count must be >= 1, got {m}")
+        for s0, w0 in p.init.entries:
+            if w0 > 0:
+                yield from _iter_support(p, m, 0, (s0,), w0, s0)
+        return
+    obs_rows = [[(((s, t), o), w) for o, w in p.obs_dist(s).entries if w > 0] for s in visited]
+    for seen, w in _product(obs_rows, mass):
+        if t == m:
+            yield EnvironmentPolicy(init, trans, obs + seen, m), w
+            continue
+        rows = [[(((s, a, t + 1), s2), v) for s2, v in p.trans_dist(s, a).entries if v > 0]
+                for s in visited for a in p.actions]
+        for moves, v in _product(rows, w):
+            nxt = tuple(sorted({s2 for _, s2 in moves}, key=p.state_index.__getitem__))
+            yield from _iter_support(p, m, t + 1, nxt, v, init, trans + moves, obs + seen)
+
+
+def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], ...]:
+    """All reduced environment policies of positive probability, with their
+    aggregated probabilities.  Probabilities are strictly positive and sum
+    to exactly 1.  The order is `_product`'s, shared with `_behaviors` and
+    so with the deterministic twin's initial states: by initial state, then
+    turn by turn the observation choice on the visited states, then the
+    successor choice on visited states x actions.
+
+    Each call recomputes the support: nothing is cached.  Its callers are
+    `env_policy_posterior` and `env-policies`, whose output is per resolution."""
+    return tuple(_iter_support(p, m))
 
 
 def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
@@ -181,11 +160,12 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
 
     No resolution is enumerated: F(t, V), memoized over the turn t and the
     states V visited at t, is a distribution over tuples of node ids, one
-    per state of V.  Its observation choice on V varies slowest, then each
-    choice of successors on V x actions against F(t + 1, V'), as in
-    `_iter_support`: with label (s, o), which fixes the resolution, the
-    roots are `enumerate_support`'s, in its order and with its masses.
-    Rows are read as there, so a missing one raises alike.
+    per state of V, built in the `_product` order that `_iter_support`
+    also follows: the observation choice on V varies slowest, then each
+    choice of successors on V x actions against F(t + 1, V').  With label
+    (s, o), which fixes the resolution, the roots are `enumerate_support`'s,
+    in its order and with its masses.  Rows are read in the same order, so
+    a missing one raises alike.
     """
     if m < 1:
         raise InputError(f"turn count must be >= 1, got {m}")

@@ -271,10 +271,10 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     for h, _ in q.pairs:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
+        p.check_history_symbols(h)
     total = _ZERO
     for bm, term in behavior_distribution(p, m).items():
         for h, pi in q.pairs:
-            p.check_history_symbols(h)
             obs, children = bm.tree
             if obs != h.initial_obs:
                 term = _ZERO

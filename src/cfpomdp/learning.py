@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import History, Pomdp, Rat, as_rational, parse_rational
+from .core import History, Pomdp, Rat, _inexact, as_rational, parse_rational
 from .core import history_sort_key, history_weights
 from .determinize import behavior_partition, is_deterministic
 from .equivalence import ensure_similar
@@ -65,6 +65,8 @@ class PureLearningSpec:
                 details.append(f"weights for non-initial states {alien}")
             raise InputError("; ".join(details))
         for s, w in self.weights:
+            if not isinstance(w, (int, Fraction)):
+                raise _inexact(w)
             if not 0 <= w <= 1:
                 raise InputError(f"weight for {s} outside [0, 1]: {w}")
 

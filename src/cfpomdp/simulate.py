@@ -11,6 +11,7 @@ Identical seeds give identical output.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,14 +62,9 @@ def simulate(
     rng = random.Random(seed)
     for _ in range(episodes):
         draw = Fraction(rng.getrandbits(64), _SCALE)
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if draw < cumulative[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        counts[lo] += 1
+        # the last resolution also takes a draw past the total, as when an
+        # unvalidated environment's masses sum below 1
+        counts[bisect_right(cumulative, draw, hi=len(cumulative) - 1)] += 1
 
     merged: dict[tuple[History, ...], int] = {}
     for joint, count in zip(joint_of, counts):

@@ -21,12 +21,14 @@ from cfpomdp import (
 )
 from cfpomdp.core import history_sort_key
 from cfpomdp.envpolicy import (
+    EnvironmentPolicy,
     _iter_support,
     behavior_map,
     behavior_tree,
     enumerate_support,
     history_prob_given_ep,
 )
+from cfpomdp.errors import InputError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -236,6 +238,64 @@ def resolution_collection_prob(p: Pomdp, q, m: int) -> Fraction:
                 break
         total += term
     return total
+
+
+def stage_support(p: Pomdp, m: int):
+    """The reduced support enumerated by two mutually recursive stages: the
+    observation stage chooses one observation per visited state, the
+    transition stage one successor per (visited state, action) row, each by
+    `itertools.product` with its own running product.  The expected order
+    of `enumerate_support`: the initial state varies slowest, then at each
+    turn the observation choice, then the successor choice, rows in sorted
+    visited x declared action order."""
+    if m < 1:
+        raise InputError(f"turn count must be >= 1, got {m}")
+    state_order = p.state_index
+
+    def obs_stage(turn, visited, prob, trans_acc, obs_acc):
+        rows = sorted(visited, key=state_order.__getitem__)
+        row_choices = [
+            [(s, o, w) for o, w in p.obs_dist(s).entries if w > 0] for s in rows
+        ]
+        for combo in itertools.product(*row_choices):
+            prob2 = prob
+            for _, _, w in combo:
+                prob2 *= w
+            obs_acc2 = obs_acc + tuple(((s, turn), o) for s, o, _ in combo)
+            if turn == m:
+                yield EnvironmentPolicy(
+                    init_state=trans_acc[0],
+                    trans_choice=trans_acc[1],
+                    obs_choice=obs_acc2,
+                    horizon=m,
+                ), prob2
+            else:
+                yield from trans_stage(turn + 1, rows, prob2, trans_acc, obs_acc2)
+
+    def trans_stage(turn, current, prob, trans_acc, obs_acc):
+        rows = [(s, a) for s in current for a in p.actions]
+        row_choices = [
+            [(s, a, s2, w) for s2, w in p.trans_dist(s, a).entries if w > 0]
+            for s, a in rows
+        ]
+        for combo in itertools.product(*row_choices):
+            prob2 = prob
+            for _, _, _, w in combo:
+                prob2 *= w
+            choices = tuple(((s, a, turn), s2) for s, a, s2, _ in combo)
+            visited = {s2 for _, _, s2, _ in combo}
+            yield from obs_stage(
+                turn,
+                visited,
+                prob2,
+                (trans_acc[0], trans_acc[1] + choices),
+                obs_acc,
+            )
+
+    for s0, w0 in p.init.entries:
+        if w0 > 0:
+            yield from obs_stage(0, {s0}, w0, (s0, ()), ())
+    del obs_stage, trans_stage  # they refer to each other: break the cycle
 
 
 def rollout(p: Pomdp, ep, pi: DeterministicPolicy) -> History:

@@ -330,6 +330,15 @@ class TestPolicyArguments:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_unknown_history_action_in_any_pair_order(self, runner, order):
+        pairs = ("--pair", "s00 ; ", "--pair", "o0 zz s00 ; o0 -> a0")
+        args = pairs if order == 1 else pairs[2:] + pairs[:2]
+        result = invoke(runner, "collection-prob", MU, "--m", "1", *args)
+        assert result.exit_code == 2
+        assert "unknown action 'zz' in history" in result.output
+
+
 class TestUsageErrors:
     def test_missing_required_option_exit_two(self, runner):
         result = runner.invoke(main, ["equiv", MU, MU_PRIME])

@@ -60,6 +60,15 @@ class TestFiniteDist:
         assert exact.total() == 1
         assert FiniteDist.of([("x", 1)]).is_point()
 
+    def test_constructor_rejects_floats(self):
+        # the dataclass constructor is checked too, not just `of`, so a
+        # float row cannot reach `Pomdp.build` and `validate`
+        with pytest.raises(InputError, match="not an exact rational: 1.0"):
+            FiniteDist((("s", 1.0),))
+        with pytest.raises(InputError, match="not an exact rational: '1'"):
+            FiniteDist((("s", "1"),))
+        assert FiniteDist((("s", 1),)).is_point()
+
     def test_problems(self):
         bad = FiniteDist.of([("a", Fraction(3, 4))])
         assert any("sum" in problem for problem in bad.problems())

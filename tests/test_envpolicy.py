@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,15 +24,19 @@ from cfpomdp.core import decision_points
 from helpers import (
     brute_response,
     full_resolutions,
+    random_cf_env,
     random_det_policy,
     random_pomdp,
     random_stochastic_policy,
     reachable_up_to,
     reduce_resolution,
     resolution_rollouts,
+    reversed_alphabets,
     rollout,
+    stage_support,
     tiny_three_state,
     tiny_two_state,
+    with_zero_observation_entries,
 )
 
 
@@ -106,6 +111,55 @@ class TestEnumerateSupport:
             for ep, prob in enumerate_support(p, m)
         }
         assert aggregated == support
+
+
+def support_rows(support):
+    return [(ep.init_state, ep.trans_choice, ep.obs_choice, ep.horizon, prob)
+            for ep, prob in support]
+
+
+class TestStageSupportOracle:
+    """`enumerate_support` recurses on `_product`; the oracle is the
+    two-stage generator with its own products."""
+
+    def test_matches_stage_support(self, corpus):
+        rng = random.Random(9090)
+        envs = list(corpus.values())
+        envs += [random_pomdp(rng, horizon_cap=3) for _ in range(4)]
+        envs += [random_cf_env(rng, n, resolution_cap=600) for n in (2, 3, 4)]
+        envs += [variant(p) for p in envs[4:] for variant in
+                 (with_zero_observation_entries, reversed_alphabets)]
+        for p in envs:
+            for m in (1, 2, 3):
+                assert support_rows(enumerate_support(p, m)) == support_rows(stage_support(p, m))
+
+    def test_missing_row_at_unreachable_state(self, mu):
+        p = Pomdp.build(
+            mu.states + ("dead",), mu.actions, mu.observations, mu.init, dict(mu.trans), dict(mu.obs)
+        )
+        for m in (1, 2):
+            assert support_rows(enumerate_support(p, m)) == support_rows(stage_support(p, m))
+
+    def test_missing_row_at_reachable_state(self, mu):
+        trans = dict(mu.trans)
+        del trans[("s01", "a1")]
+        obs = dict(mu.obs)
+        del obs["s10"]
+        for p in (
+            Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, trans, dict(mu.obs)),
+            Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, dict(mu.trans), obs),
+            Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, trans, obs),
+        ):
+            with pytest.raises(InputError) as expected:
+                list(stage_support(p, 2))
+            with pytest.raises(InputError) as got:
+                enumerate_support(p, 2)
+            assert str(got.value) == str(expected.value)
+
+    def test_zero_turns_rejected(self, mu):
+        for call in (lambda: list(stage_support(mu, 0)), lambda: enumerate_support(mu, 0)):
+            with pytest.raises(InputError, match="turn count must be >= 1, got 0"):
+                call()
 
 
 class TestEnvPolicyProb:

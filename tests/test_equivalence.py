@@ -583,6 +583,15 @@ class TestCfGuards:
             with pytest.raises(InputError, match="unknown"):
                 collection_prob(mu, query, 1)
 
+    def test_collection_unknown_symbol_in_any_pair_order(self, mu):
+        # an impossible pair ahead of the bad one no longer hides it
+        empty = DeterministicPolicy.script(History.parse("s00")).as_stochastic()
+        impossible = (History.parse("s00"), empty)
+        bad = (History.parse("o0 zz s00"), const(mu, 1, "a0"))
+        for pairs in ((impossible, bad), (bad, impossible)):
+            with pytest.raises(InputError, match="unknown action 'zz'"):
+                collection_prob(mu, CollectionQuery(pairs), 1)
+
     def test_collection_undefined_policy(self, mu):
         first = DeterministicPolicy.script(History.parse("o0 a0 s00")).as_stochastic()
         reached = CollectionQuery(((History.parse("o0 a0 s00 a1 s00"), first),))

@@ -66,6 +66,13 @@ class TestSpecValidation:
         spec = star_spec(mu_star, {s: "1/10" for s in STAR_STATES})
         assert all(w == Fraction(1, 10) for _, w in spec.weights)
 
+    def test_constructor_rejects_float_weights(self, mu_star):
+        # the dataclass constructor is checked too, not just `of`
+        with pytest.raises(InputError, match="not an exact rational: 0.5"):
+            PureLearningSpec(mu_star, tuple((s, 0.5) for s in STAR_STATES), 1)
+        spec = PureLearningSpec(mu_star, tuple((s, Fraction(1, 2)) for s in STAR_STATES), 1)
+        assert evaluate(spec, History.parse("o0")) == Fraction(1, 2)
+
     def test_rejects_alien_states(self, mu_star):
         weights = {s: Fraction(1, 4) for s in STAR_STATES}
         weights["nowhere"] = Fraction(0)
