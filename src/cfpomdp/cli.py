@@ -7,10 +7,6 @@ the seed, for `simulate`).
 
 from __future__ import annotations
 
-import functools
-import sys
-from pathlib import Path
-
 import click
 
 from .core import (
@@ -22,7 +18,7 @@ from .core import (
 )
 from .determinize import determinize as determinize_env
 from .determinize import minimize as minimize_env
-from .envfile import load_env, save_env
+from .envfile import load_env, read_text, save_env
 from .envpolicy import count_env_policies, enumerate_support
 from .equivalence import (
     CollectionQuery,
@@ -32,7 +28,7 @@ from .equivalence import (
     check_equiv,
     collection_prob,
 )
-from .errors import CfpomdpError, EnvFileError, InputError, ValidationError
+from .errors import CfpomdpError, InputError, ValidationError
 from .learning import (
     PureLearningSpec,
     _first_difference,
@@ -45,24 +41,6 @@ from .simulate import simulate as run_simulation
 from .trajectory import initial_posterior
 
 
-def _fail(message: str) -> "SystemExit":
-    click.echo(f"error: {message}", err=True)
-    return SystemExit(2)
-
-
-def handle_input_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except ValidationError as exc:
-            raise _fail("validation failed: " + "; ".join(exc.violations))
-        except CfpomdpError as exc:
-            raise _fail(str(exc))
-
-    return wrapper
-
-
 def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
     """A policy argument is an action id (constant policy), an inline
     ``history -> action`` table with ',' between entries, or ``@file`` with
@@ -71,7 +49,7 @@ def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
     if not spec:
         return DeterministicPolicy(())
     if spec.startswith("@"):
-        lines = Path(spec[1:]).read_text().splitlines()
+        lines = read_text(spec[1:]).splitlines()
         entries = [ln.split("#", 1)[0].strip() for ln in lines]
         entries = [ln for ln in entries if ln]
     elif "->" in spec:
@@ -118,7 +96,24 @@ def _print_witness(witness: ConditionalWitness | CollectionWitness) -> None:
             )
 
 
-@click.group()
+class _Main(click.Group):
+    """Every library or file error of every verb ends here, as one
+    ``error: ...`` line on stderr and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValidationError as exc:
+            message = "validation failed: " + "; ".join(exc.violations)
+        except BrokenPipeError:
+            raise  # a closed stdout: click silences it and exits 1
+        except (CfpomdpError, OSError) as exc:
+            message = str(exc)
+        click.echo(f"error: {message}", err=True)
+        raise SystemExit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact equivalence, counterfactual equivalence, determinization, and
     pure learning processes for finite reward-free POMDPs."""
@@ -126,13 +121,9 @@ def main():
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@handle_input_errors
 def validate(file):
     """Check every environment invariant; report violations."""
-    try:
-        p = load_env(file, validate_result=False)
-    except EnvFileError as exc:
-        raise _fail(str(exc))
+    p = load_env(file, validate_result=False)
     violations = validate_pomdp(p)
     if not violations:
         click.echo("ok")
@@ -146,7 +137,6 @@ def validate(file):
 @click.argument("file1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
-@handle_input_errors
 def equiv(file1, file2, m):
     """Decide whether two environments look identical to a single agent for
     the first M turns."""
@@ -164,7 +154,6 @@ def equiv(file1, file2, m):
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--witness", is_flag=True, help="Print a differing collection query.")
-@handle_input_errors
 def cf_equiv(file1, file2, m, witness):
     """Decide whether two environments look identical to any number of
     agents sharing the same resolution for the first M turns."""
@@ -184,7 +173,6 @@ def cf_equiv(file1, file2, m, witness):
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
 @click.option("--minimize", "do_minimize", is_flag=True,
               help="Quotient the result by its behavior partition.")
-@handle_input_errors
 def determinize(file, m, out, do_minimize):
     """Construct a deterministic environment counterfactually equivalent to
     FILE at horizon M and write it to OUT."""
@@ -206,7 +194,6 @@ def determinize(file, m, out, do_minimize):
 @click.option("--convention", type=click.Choice(["full", "transition-only"]),
               default="transition-only", show_default=True,
               help="Unreduced census convention (with --count-only).")
-@handle_input_errors
 def env_policies(file, m, count_only, convention):
     """List the positive-probability resolutions of FILE's randomness, or
     count all unreduced ones."""
@@ -224,7 +211,6 @@ def env_policies(file, m, count_only, convention):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--history", "history_text", required=True,
               help='History, e.g. "o0 a0 s00".')
-@handle_input_errors
 def posterior(file, history_text):
     """Posterior over the initial state given a history."""
     p = load_env(file)
@@ -238,7 +224,6 @@ def posterior(file, history_text):
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--pair", "pairs", multiple=True, required=True,
               help='"HISTORY ; POLICY"; POLICY is an action id, an inline table, or @file.')
-@handle_input_errors
 def collection_prob_cmd(file, m, pairs):
     """Joint probability that agents sharing one resolution each see their
     paired history."""
@@ -262,7 +247,6 @@ def collection_prob_cmd(file, m, pairs):
               type=click.Path(exists=True, dir_okay=False),
               help="Weight vector file: one 'state p/q' line per initial state.")
 @click.option("--history", "history_text", required=True)
-@handle_input_errors
 def learn(file, m, weights_path, history_text):
     """Evaluate a pure learning process on one history."""
     p = load_env(file)
@@ -279,7 +263,6 @@ def learn(file, m, weights_path, history_text):
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
 @click.option("--verify", is_flag=True,
               help="Check the transferred process agrees on every reachable history.")
-@handle_input_errors
 def learn_transfer(src, tgt, m, weights_path, out, verify):
     """Transfer a pure learning process from SRC to the counterfactually
     equivalent deterministic environment TGT; write the new weights to OUT."""
@@ -306,7 +289,6 @@ def learn_transfer(src, tgt, m, weights_path, out, verify):
               help="One per agent: action id, inline table, or @file.")
 @click.option("--episodes", "episodes", type=int, required=True)
 @click.option("--seed", "seed", type=int, required=True)
-@handle_input_errors
 def simulate(file, m, agents, policies, episodes, seed):
     """Monte Carlo cross-check: sample shared resolutions and compare joint
     frequencies with their exact probabilities."""

@@ -47,6 +47,22 @@ def _inexact(value) -> InputError:
     return InputError(f"not an exact rational: {value!r} (use an int, a Fraction or 'p/q')")
 
 
+def _repeated_key(pairs):
+    """The first key that occurs twice among (key, value) pairs, else None."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
+def _reject_repeated_history(decisions) -> None:
+    h = _repeated_key(decisions)
+    if h is not None:
+        raise InputError(f"policy names history {h} twice")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDist:
     """Finite-support distribution with exact rational weights.
@@ -66,18 +82,14 @@ class FiniteDist:
         for _, value in self.entries:
             if not isinstance(value, (int, Fraction)):
                 raise _inexact(value)
+        key = _repeated_key(self.entries)
+        if key is not None:
+            raise InputError(f"duplicate entry {key!r} in distribution")
 
     @classmethod
     def of(cls, items: Mapping[str, Rat] | Iterable[tuple[str, Rat]]) -> "FiniteDist":
-        pairs = list(items.items()) if isinstance(items, Mapping) else list(items)
-        seen = set()
-        out = []
-        for key, value in pairs:
-            if key in seen:
-                raise InputError(f"duplicate entry {key!r} in distribution")
-            seen.add(key)
-            out.append((key, as_rational(value)))
-        return cls(tuple(out))
+        pairs = items.items() if isinstance(items, Mapping) else items
+        return cls(tuple((key, as_rational(value)) for key, value in pairs))
 
     @classmethod
     def point(cls, x: str) -> "FiniteDist":
@@ -421,6 +433,9 @@ class DeterministicPolicy:
 
     decisions: tuple[tuple[History, str], ...]
 
+    def __post_init__(self):
+        _reject_repeated_history(self.decisions)
+
     @cached_property
     def _map(self) -> dict[History, str]:
         return dict(self.decisions)
@@ -468,6 +483,9 @@ class StochasticPolicy:
     """A map from histories to exact action distributions."""
 
     decisions: tuple[tuple[History, FiniteDist], ...]
+
+    def __post_init__(self):
+        _reject_repeated_history(self.decisions)
 
     @cached_property
     def _map(self) -> dict[History, FiniteDist]:

@@ -35,16 +35,17 @@ def _parse_dist(body: str, lineno: int) -> list[tuple[str, Rat]]:
     return entries
 
 
+# Row keywords: the number of head tokens before '->' and how to name them.
+_ROWS = {"obs": (1, "one state"), "trans": (2, "state and action")}
+_DECLARATIONS = ("states", "actions", "observations", "init")
+
+
 def parse_env(text: str, validate_result: bool = True) -> Pomdp:
     """Parse an environment; raise `EnvFileError` (with a line number) on
     syntax problems and `ValidationError` on invariant violations unless
     `validate_result` is off."""
-    states: list[str] | None = None
-    actions: list[str] | None = None
-    observations: list[str] | None = None
-    init: list[tuple[str, Rat]] | None = None
-    trans: dict[tuple[str, str], list[tuple[str, Rat]]] = {}
-    obs: dict[str, list[tuple[str, Rat]]] = {}
+    declared: dict[str, list] = {}
+    rows: dict[str, dict[tuple[str, ...], list[tuple[str, Rat]]]] = {k: {} for k in _ROWS}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -52,68 +53,42 @@ def parse_env(text: str, validate_result: bool = True) -> Pomdp:
             continue
         if ":" not in line:
             raise EnvFileError(lineno, f"expected '<keyword>: ...', got {raw.strip()!r}")
-        keyword, body = line.split(":", 1)
-        keyword = keyword.strip()
-        body = body.strip()
-        if keyword in ("states", "actions", "observations"):
-            ids = body.split()
-            if not ids:
+        keyword, body = (part.strip() for part in line.split(":", 1))
+        if keyword in _DECLARATIONS:
+            if not body and keyword != "init":
                 raise EnvFileError(lineno, f"empty {keyword} declaration")
-            if keyword == "states":
-                if states is not None:
-                    raise EnvFileError(lineno, "duplicate states declaration")
-                states = ids
-            elif keyword == "actions":
-                if actions is not None:
-                    raise EnvFileError(lineno, "duplicate actions declaration")
-                actions = ids
-            else:
-                if observations is not None:
-                    raise EnvFileError(lineno, "duplicate observations declaration")
-                observations = ids
-        elif keyword == "init":
-            if init is not None:
-                raise EnvFileError(lineno, "duplicate init declaration")
-            init = _parse_dist(body, lineno)
-        elif keyword == "obs":
+            if keyword in declared:
+                raise EnvFileError(lineno, f"duplicate {keyword} declaration")
+            declared[keyword] = _parse_dist(body, lineno) if keyword == "init" else body.split()
+        elif keyword in _ROWS:
+            width, heads = _ROWS[keyword]
             if "->" not in body:
-                raise EnvFileError(lineno, "obs line needs '->'")
+                raise EnvFileError(lineno, f"{keyword} line needs '->'")
             head, dist_body = body.split("->", 1)
-            head_tokens = head.split()
-            if len(head_tokens) != 1:
-                raise EnvFileError(lineno, f"obs line needs one state before '->', got {head.strip()!r}")
-            if head_tokens[0] in obs:
-                raise EnvFileError(lineno, f"duplicate obs row for {head_tokens[0]}")
-            obs[head_tokens[0]] = _parse_dist(dist_body, lineno)
-        elif keyword == "trans":
-            if "->" not in body:
-                raise EnvFileError(lineno, "trans line needs '->'")
-            head, dist_body = body.split("->", 1)
-            head_tokens = head.split()
-            if len(head_tokens) != 2:
+            key = tuple(head.split())
+            if len(key) != width:
                 raise EnvFileError(
-                    lineno, f"trans line needs state and action before '->', got {head.strip()!r}"
+                    lineno, f"{keyword} line needs {heads} before '->', got {head.strip()!r}"
                 )
-            key = (head_tokens[0], head_tokens[1])
-            if key in trans:
-                raise EnvFileError(lineno, f"duplicate trans row for ({key[0]}, {key[1]})")
-            trans[key] = _parse_dist(dist_body, lineno)
+            if key in rows[keyword]:
+                name = key[0] if width == 1 else f"({', '.join(key)})"
+                raise EnvFileError(lineno, f"duplicate {keyword} row for {name}")
+            rows[keyword][key] = _parse_dist(dist_body, lineno)
         else:
             raise EnvFileError(lineno, f"unknown keyword {keyword!r}")
 
-    for name, value in (("states", states), ("actions", actions),
-                        ("observations", observations), ("init", init)):
-        if value is None:
+    for name in _DECLARATIONS:
+        if name not in declared:
             raise EnvFileError(0, f"missing {name} declaration")
 
     try:
         p = Pomdp.build(
-            states,
-            actions,
-            observations,
-            FiniteDist.of(init),
-            {k: FiniteDist.of(v) for k, v in trans.items()},
-            {k: FiniteDist.of(v) for k, v in obs.items()},
+            declared["states"],
+            declared["actions"],
+            declared["observations"],
+            FiniteDist.of(declared["init"]),
+            {k: FiniteDist.of(v) for k, v in rows["trans"].items()},
+            {s: FiniteDist.of(v) for (s,), v in rows["obs"].items()},
         )
     except InputError as exc:
         raise EnvFileError(0, str(exc)) from None
@@ -143,8 +118,17 @@ def serialize_env(p: Pomdp) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; bytes that do not decode are an
+    `InputError` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def load_env(path: str | Path, validate_result: bool = True) -> Pomdp:
-    return parse_env(Path(path).read_text(), validate_result=validate_result)
+    return parse_env(read_text(path), validate_result=validate_result)
 
 
 def save_env(path: str | Path, p: Pomdp) -> None:

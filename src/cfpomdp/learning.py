@@ -30,6 +30,7 @@ from pathlib import Path
 from .core import History, Pomdp, Rat, _inexact, as_rational, parse_rational
 from .core import history_sort_key, history_weights
 from .determinize import behavior_partition, is_deterministic
+from .envfile import read_text
 from .equivalence import ensure_similar
 from .errors import DeterminismError, InputError
 from .trajectory import _weight
@@ -168,7 +169,7 @@ def verify_universality(
 def load_weights(path: str | Path) -> dict[str, Rat]:
     """Read a weight vector: one ``state p/q`` line per state, '#' comments."""
     out: dict[str, Rat] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -180,7 +181,10 @@ def load_weights(path: str | Path) -> dict[str, Rat]:
         state, value = parts
         if state in out:
             raise InputError(f"{path}:{lineno}: duplicate state {state!r}")
-        out[state] = parse_rational(value)
+        try:
+            out[state] = parse_rational(value)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

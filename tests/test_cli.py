@@ -330,6 +330,14 @@ class TestPolicyArguments:
         assert result.exit_code == 2
 
 
+    def test_history_named_twice_exit_two(self, runner):
+        result = invoke(
+            runner, "collection-prob", MU, "--m", "1",
+            "--pair", "o0 a1 s10 ; o0 -> a0, o0 -> a1",
+        )
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == ["error: policy names history o0 twice"]
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_unknown_history_action_in_any_pair_order(self, runner, order):
         pairs = ("--pair", "s00 ; ", "--pair", "o0 zz s00 ; o0 -> a0")
@@ -347,3 +355,123 @@ class TestUsageErrors:
     def test_unknown_command_exit_two(self, runner):
         result = runner.invoke(main, ["no-such-command"])
         assert result.exit_code == 2
+
+
+VERB_INPUT_ERRORS = [
+    (("validate", "{bad.env}"), "line 1: expected '<keyword>: ...', got 'states s0'"),
+    (("equiv", MU, "{bad.env}", "--m", "1"),
+     "line 1: expected '<keyword>: ...', got 'states s0'"),
+    (("cf-equiv", MU, MU_PRIME, "--m", "-1"), "turn count must be >= 1, got -1"),
+    (("determinize", "{invalid.env}", "--m", "1", "-o", "{out.env}"),
+     "validation failed: distribution sum ≠ 1 (got 2/3) in trans at (s0,a0)"),
+    (("env-policies", MU, "--m", "0"), "turn count must be >= 1, got 0"),
+    (("posterior", MU, "--history", "o0 zz s00"), "unknown action 'zz' in history"),
+    (("collection-prob", MU, "--m", "1", "--pair", "o0 a0 s00"),
+     "pair needs 'HISTORY ; POLICY', got 'o0 a0 s00'"),
+    (("learn", MU_STAR, "--m", "1", "--weights", "{w.txt}", "--history", "o0 a0"),
+     "history 'o0 a0' must alternate obs action obs ... (odd token count)"),
+    (("learn-transfer", MU_STAR, MU_DOUBLE_PRIME, "--m", "1",
+      "--weights", "{w.txt}", "-o", "{moved.txt}"),
+     "transfer requires counterfactually equivalent environments at the given horizon"),
+    (("simulate", MU, "--m", "1", "--agents", "0", "--policy", "a0",
+      "--episodes", "10", "--seed", "1"), "agents must be >= 1, got 0"),
+]
+
+
+class TestInputErrorsExitTwo:
+    """Every verb turns a bad input into exactly one ``error:`` line on
+    stderr and exit 2."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "bad.env").write_text("states s0\n")
+        (tmp_path / "invalid.env").write_text(
+            corpus_path("mu").read_text().replace(
+                "trans: s0 a0 -> s00 1/2 | s01 1/2",
+                "trans: s0 a0 -> s00 1/3 | s01 1/3",
+            )
+        )
+        (tmp_path / "w.txt").write_text("s0^00 1\ns0^01 0\ns0^10 0\ns0^11 0\n")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "args,message", VERB_INPUT_ERRORS, ids=[args[0] for args, _ in VERB_INPUT_ERRORS]
+    )
+    def test_one_error_line(self, runner, files, args, message):
+        args = [
+            str(files / arg[1:-1]) if arg.startswith("{") else arg for arg in args
+        ]
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
+
+class TestFileErrorsExitTwo:
+    """A file that cannot be read, decoded or written is an input error:
+    exit 1 would read as a verdict of `equiv`."""
+
+    def check(self, result, *fragments):
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+        assert "Traceback" not in result.output
+
+    def test_env_file_not_utf8(self, runner, tmp_path):
+        binary = tmp_path / "bin.env"
+        binary.write_bytes(b"states: s\xff\n")
+        result = invoke(runner, "equiv", str(binary), MU, "--m", "1")
+        self.check(result, str(binary), "can't decode byte 0xff")
+
+    def test_missing_policy_file(self, runner, tmp_path):
+        missing = tmp_path / "pol.txt"
+        result = invoke(
+            runner, "collection-prob", MU, "--m", "1", "--pair", f"o0 a0 s00 ; @{missing}"
+        )
+        self.check(result, "No such file or directory", str(missing))
+
+    def test_policy_file_is_a_directory(self, runner, tmp_path):
+        result = invoke(
+            runner, "simulate", MU, "--m", "1", "--agents", "1",
+            "--policy", f"@{tmp_path}", "--episodes", "10", "--seed", "1",
+        )
+        self.check(result, "Is a directory", str(tmp_path))
+
+    def test_policy_file_not_utf8(self, runner, tmp_path):
+        table = tmp_path / "pol.txt"
+        table.write_bytes(b"o0 -> a\xe90\n")
+        result = invoke(
+            runner, "collection-prob", MU, "--m", "1", "--pair", f"o0 a0 s00 ; @{table}"
+        )
+        self.check(result, str(table), "can't decode byte 0xe9")
+
+    def test_weights_file_not_utf8(self, runner, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_bytes(b"s0^00 1\xff\n")
+        result = invoke(
+            runner, "learn", MU_STAR, "--m", "1",
+            "--weights", str(weights), "--history", "o0",
+        )
+        self.check(result, str(weights), "can't decode byte 0xff")
+
+    def test_output_directory_missing(self, runner, tmp_path):
+        out = tmp_path / "no-such-dir" / "out.env"
+        result = invoke(runner, "determinize", MU, "--m", "1", "-o", str(out))
+        self.check(result, "No such file or directory", str(out))
+
+    def test_broken_pipe_is_left_to_click(self, runner, monkeypatch):
+        # click quiets a closed stdout and exits 1; the handler must not
+        # turn it into an input error
+        import cfpomdp.cli
+
+        def closed(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cfpomdp.cli, "check_equiv", closed)
+        result = runner.invoke(main, ["equiv", MU, MU_PRIME, "--m", "1"])
+        assert result.exit_code == 1
+        assert "error:" not in result.output
+

@@ -10,6 +10,7 @@ from cfpomdp import (
     History,
     InputError,
     Pomdp,
+    StochasticPolicy,
     enumerate_det_policies,
     parse_rational,
     reachable_histories,
@@ -51,6 +52,14 @@ class TestFiniteDist:
     def test_duplicate_key_rejected(self):
         with pytest.raises(InputError):
             FiniteDist.of([("a", Fraction(1, 2)), ("a", Fraction(1, 2))])
+
+    def test_constructor_rejects_duplicate_keys(self):
+        # a repeated key would make `==` (over the dict) and `hash` (over
+        # the pairs) disagree
+        with pytest.raises(InputError, match="duplicate entry 'a' in distribution"):
+            FiniteDist((("a", Fraction(1)), ("a", Fraction(0))))
+        with pytest.raises(InputError, match="duplicate entry 'a' in distribution"):
+            FiniteDist.of(iter([("a", Fraction(1, 2)), ("b", 0), ("a", Fraction(1, 2))]))
 
     def test_floats_rejected(self):
         # 0.1 and 0.9 are binary fractions whose sum is not exactly 1
@@ -284,3 +293,15 @@ class TestPolicies:
         p2 = DeterministicPolicy(((h1, "a1"), (h0, "a0")))
         assert p1 == p2
         assert hash(p1) == hash(p2)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_repeated_history_rejected(self, kind):
+        h0 = History.parse("o0")
+        decisions = ((h0, "a0"), (History.parse("o0 a0 s00"), "a0"), (h0, "a1"))
+        if kind == "stochastic":
+            decisions = tuple((h, FiniteDist.point(a)) for h, a in decisions)
+            make = StochasticPolicy
+        else:
+            make = DeterministicPolicy
+        with pytest.raises(InputError, match="policy names history o0 twice"):
+            make(decisions)

@@ -66,6 +66,58 @@ class TestParsing:
         assert "line" in str(err.value)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "needle,replacement,message",
+        [
+            ("states: s t", "states s t", "line 2: expected '<keyword>: ...', got 'states s t'"),
+            ("states: s t", "states:", "line 2: empty states declaration"),
+            ("actions: a", "actions:", "line 3: empty actions declaration"),
+            ("observations: x y", "observations:  # none", "line 4: empty observations declaration"),
+            ("init: s 1", "init:", "line 5: expected '<id> <rational>', got ''"),
+            ("trans: t a -> t 1", "trans: t a -> t 1\nstates: u", "line 10: duplicate states declaration"),
+            ("trans: t a -> t 1", "trans: t a -> t 1\nactions: b", "line 10: duplicate actions declaration"),
+            ("trans: t a -> t 1", "trans: t a -> t 1\nobservations: z",
+             "line 10: duplicate observations declaration"),
+            ("trans: t a -> t 1", "trans: t a -> t 1\ninit: t 1", "line 10: duplicate init declaration"),
+            # an empty declaration is reported before a repeated one ...
+            ("trans: t a -> t 1", "trans: t a -> t 1\nstates:", "line 10: empty states declaration"),
+            # ... and a repeated init before its body is parsed
+            ("trans: t a -> t 1", "trans: t a -> t 1\ninit: garbage", "line 10: duplicate init declaration"),
+            ("obs: s -> x 1", "obs: s x 1", "line 6: obs line needs '->'"),
+            ("trans: s a -> t 1", "trans: s a t 1", "line 8: trans line needs '->'"),
+            ("obs: s -> x 1", "obs: -> x 1", "line 6: obs line needs one state before '->', got ''"),
+            ("obs: s -> x 1", "obs: s t -> x 1", "line 6: obs line needs one state before '->', got 's t'"),
+            ("obs: s -> x 1", "obs: s t u -> x 1",
+             "line 6: obs line needs one state before '->', got 's t u'"),
+            ("trans: s a -> t 1", "trans: -> t 1",
+             "line 8: trans line needs state and action before '->', got ''"),
+            ("trans: s a -> t 1", "trans: s -> t 1",
+             "line 8: trans line needs state and action before '->', got 's'"),
+            ("trans: s a -> t 1", "trans: s a b -> t 1",
+             "line 8: trans line needs state and action before '->', got 's a b'"),
+            ("trans: t a -> t 1", "trans: t a -> t 1\nobs: s -> y 1", "line 10: duplicate obs row for s"),
+            ("trans: t a -> t 1", "trans: t a -> t 1\ntrans: s a -> s 1",
+             "line 10: duplicate trans row for (s, a)"),
+            ("obs: s -> x 1", "garbage: s -> x 1", "line 6: unknown keyword 'garbage'"),
+            ("states: s t", "", "line 0: missing states declaration"),
+            ("actions: a", "", "line 0: missing actions declaration"),
+            ("observations: x y", "", "line 0: missing observations declaration"),
+            ("init: s 1", "", "line 0: missing init declaration"),
+            ("init: s 1", "init: s 1 extra", "line 5: expected '<id> <rational>', got 's 1 extra'"),
+            ("obs: t -> y 1", "obs: t -> y 1 |", "line 7: expected '<id> <rational>', got ''"),
+            ("init: s 1", "init: s 0.5 | t 0.5",
+             "line 5: not a rational literal: '0.5' (use p/q or an integer)"),
+            ("trans: t a -> t 1", "trans: t a -> t 1/2 | t 1/2",
+             "line 0: duplicate entry 't' in distribution"),
+        ],
+    )
+    def test_malformed_input_messages(self, needle, replacement, message):
+        text = MINIMAL.replace(needle, replacement)
+        for validate_result in (True, False):
+            with pytest.raises(EnvFileError) as err:
+                parse_env(text, validate_result=validate_result)
+            assert str(err.value) == message
+
     def test_duplicate_row_rejected(self):
         text = MINIMAL + "trans: s a -> s 1\n"
         with pytest.raises(EnvFileError) as err:

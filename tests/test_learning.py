@@ -323,6 +323,13 @@ class TestWeightsFiles:
         with pytest.raises(InputError):
             load_weights(path)
 
+    def test_bad_rational_names_its_line(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("s0 1/2\ns1 a\n")
+        with pytest.raises(InputError) as err:
+            load_weights(path)
+        assert str(err.value) == f"{path}:2: not a rational literal: 'a' (use p/q or an integer)"
+
     def test_rejects_duplicates(self, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_text("s 1/3\ns 2/3\n")
