@@ -120,7 +120,7 @@ def main():
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 def validate(file):
     """Check every environment invariant; report violations."""
     p = load_env(file, validate_result=False)
@@ -134,8 +134,8 @@ def validate(file):
 
 
 @main.command()
-@click.argument("file1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file2", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file1")
+@click.argument("file2")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 def equiv(file1, file2, m):
     """Decide whether two environments look identical to a single agent for
@@ -150,8 +150,8 @@ def equiv(file1, file2, m):
 
 
 @main.command(name="cf-equiv")
-@click.argument("file1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file2", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file1")
+@click.argument("file2")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--witness", is_flag=True, help="Print a differing collection query.")
 def cf_equiv(file1, file2, m, witness):
@@ -168,9 +168,9 @@ def cf_equiv(file1, file2, m, witness):
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
-@click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
+@click.option("-o", "out", metavar="FILE", required=True)
 @click.option("--minimize", "do_minimize", is_flag=True,
               help="Quotient the result by its behavior partition.")
 def determinize(file, m, out, do_minimize):
@@ -187,7 +187,7 @@ def determinize(file, m, out, do_minimize):
 
 
 @main.command(name="env-policies")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--count-only", is_flag=True,
               help="Print the unreduced census instead of the support.")
@@ -208,7 +208,7 @@ def env_policies(file, m, count_only, convention):
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 @click.option("--history", "history_text", required=True,
               help='History, e.g. "o0 a0 s00".')
 def posterior(file, history_text):
@@ -220,7 +220,7 @@ def posterior(file, history_text):
 
 
 @main.command(name="collection-prob")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--pair", "pairs", multiple=True, required=True,
               help='"HISTORY ; POLICY"; POLICY is an action id, an inline table, or @file.')
@@ -241,10 +241,9 @@ def collection_prob_cmd(file, m, pairs):
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
-@click.option("--weights", "weights_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--weights", "weights_path", metavar="FILE", required=True,
               help="Weight vector file: one 'state p/q' line per initial state.")
 @click.option("--history", "history_text", required=True)
 def learn(file, m, weights_path, history_text):
@@ -255,12 +254,11 @@ def learn(file, m, weights_path, history_text):
 
 
 @main.command(name="learn-transfer")
-@click.argument("src", type=click.Path(exists=True, dir_okay=False))
-@click.argument("tgt", type=click.Path(exists=True, dir_okay=False))
+@click.argument("src")
+@click.argument("tgt")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
-@click.option("--weights", "weights_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
+@click.option("--weights", "weights_path", metavar="FILE", required=True)
+@click.option("-o", "out", metavar="FILE", required=True)
 @click.option("--verify", is_flag=True,
               help="Check the transferred process agrees on every reachable history.")
 def learn_transfer(src, tgt, m, weights_path, out, verify):
@@ -282,7 +280,7 @@ def learn_transfer(src, tgt, m, weights_path, out, verify):
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("file")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--agents", "agents", type=int, required=True)
 @click.option("--policy", "policies", multiple=True, required=True,

@@ -374,35 +374,33 @@ def _observe(p: Pomdp, arrivals) -> dict[str, dict[str, Rat]]:
     return out
 
 
-def _moved(p: Pomdp, belief: Mapping[str, Rat], a: str) -> Iterable[tuple[str, Rat]]:
-    """The weighted arrivals after playing `a` from `belief`."""
-    for s, w in belief.items():
-        for s2, wt in p.trans_dist(s, a).entries:
-            yield s2, w * wt
-
-
-def _forward(p: Pomdp, m: int, start=None) -> list[dict[History, dict[str, Rat]]]:
-    """For each length 0..m, map each history of positive weight to its
-    unnormalized belief over the current state, α(h·a·o) = α(h)·T_a·O_o.
-    `start` is (state, weight) pairs replacing the initial distribution."""
+def _forward(p: Pomdp, m: int) -> list[dict[History, dict[str, None]]]:
+    """For each length 0..m, map each history of positive weight to the
+    states of positive weight after it, in insertion order: the support of
+    its belief, read row by row in the order `trajectory._weight` reads
+    them, so a missing row raises the same error."""
     if m < 0:
         raise InputError(f"turn count must be >= 0, got {m}")
-    start = p.init.entries if start is None else start
-    layers = [{History(o): b for o, b in _observe(p, start).items()}]
+
+    def observe(arrivals) -> dict[str, dict[str, None]]:
+        out: dict[str, dict[str, None]] = {}
+        for s in arrivals:
+            for o, wo in p.obs_dist(s).entries:
+                if wo > 0:
+                    out.setdefault(o, {})[s] = None
+        return out
+
+    layers = [{History(o): b for o, b in observe(s for s, w in p.init.entries if w > 0).items()}]
     for _ in range(m):
         layers.append({
             h.extend(a, o): b
-            for h, belief in layers[-1].items()
+            for h, support in layers[-1].items()
             for a in p.actions
-            for o, b in _observe(p, _moved(p, belief, a)).items()
+            for o, b in observe(
+                s2 for s in support for s2, w in p.trans_dist(s, a).entries if w > 0
+            ).items()
         })
     return layers
-
-
-def history_weights(p: Pomdp, m: int, start=None) -> dict[History, Rat]:
-    """The weight of every history of positive weight up to length m: its
-    probability with every policy factor dropped (see `_forward`)."""
-    return {h: sum(b.values()) for layer in _forward(p, m, start) for h, b in layer.items()}
 
 
 def reachable_histories(p: Pomdp, m: int) -> dict[int, tuple[History, ...]]:

@@ -17,22 +17,22 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import FiniteDist, Pomdp, Rat, parse_rational, validate
+from .core import FiniteDist, Pomdp, parse_rational, validate
 from .errors import EnvFileError, InputError, ValidationError
 
 
-def _parse_dist(body: str, lineno: int) -> list[tuple[str, Rat]]:
+def _parse_dist(body: str, lineno: int) -> FiniteDist:
+    """One distribution row; a bad rational or a repeated id names the line."""
     entries = []
-    for part in body.split("|"):
-        tokens = part.split()
-        if len(tokens) != 2:
-            raise EnvFileError(lineno, f"expected '<id> <rational>', got {part.strip()!r}")
-        try:
-            value = parse_rational(tokens[1])
-        except InputError as exc:
-            raise EnvFileError(lineno, str(exc)) from None
-        entries.append((tokens[0], value))
-    return entries
+    try:
+        for part in body.split("|"):
+            tokens = part.split()
+            if len(tokens) != 2:
+                raise EnvFileError(lineno, f"expected '<id> <rational>', got {part.strip()!r}")
+            entries.append((tokens[0], parse_rational(tokens[1])))
+        return FiniteDist(tuple(entries))
+    except InputError as exc:
+        raise EnvFileError(lineno, str(exc)) from None
 
 
 # Row keywords: the number of head tokens before '->' and how to name them.
@@ -44,8 +44,8 @@ def parse_env(text: str, validate_result: bool = True) -> Pomdp:
     """Parse an environment; raise `EnvFileError` (with a line number) on
     syntax problems and `ValidationError` on invariant violations unless
     `validate_result` is off."""
-    declared: dict[str, list] = {}
-    rows: dict[str, dict[tuple[str, ...], list[tuple[str, Rat]]]] = {k: {} for k in _ROWS}
+    declared: dict[str, list | FiniteDist] = {}
+    rows: dict[str, dict[tuple[str, ...], FiniteDist]] = {k: {} for k in _ROWS}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -81,17 +81,14 @@ def parse_env(text: str, validate_result: bool = True) -> Pomdp:
         if name not in declared:
             raise EnvFileError(0, f"missing {name} declaration")
 
-    try:
-        p = Pomdp.build(
-            declared["states"],
-            declared["actions"],
-            declared["observations"],
-            FiniteDist.of(declared["init"]),
-            {k: FiniteDist.of(v) for k, v in rows["trans"].items()},
-            {s: FiniteDist.of(v) for (s,), v in rows["obs"].items()},
-        )
-    except InputError as exc:
-        raise EnvFileError(0, str(exc)) from None
+    p = Pomdp.build(
+        declared["states"],
+        declared["actions"],
+        declared["observations"],
+        declared["init"],
+        rows["trans"],
+        {s: d for (s,), d in rows["obs"].items()},
+    )
     if validate_result:
         violations = validate(p)
         if violations:

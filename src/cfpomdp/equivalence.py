@@ -4,14 +4,16 @@ m-equivalence: two similar environments assign the same probability to
 every history up to length m, and hence the same conditional probability to
 every pair of histories, under every policy.  A policy's probability of h is
 its action factors along h times the policy-free weight w(h)
-(`core.history_weights`), so it suffices to compare w(h) directly, the
+(`trajectory._weight`), so it suffices to compare w(h) directly, the
 length-0 histories (the initial observations o0) included.  A failure at
 length 0 is reported as (o0, o0) with the two unconditional probabilities
 of o0; a later one as the pair (h, o0) under the policy playing h's own
 actions, with the conditional values w(h)/w(o0), whose denominators agree.
 No history is visited one by one: w(h) is linear in the forward vector of
-h, so `check_equiv` compares exact spans of forward vectors turn by turn,
-in time polynomial in m, and walks a single path to the witness.
+h, so `_first_failure` compares exact spans of forward vectors turn by
+turn, in time polynomial in m, and walks a single path to the witness.  It
+starts from any (state, weight) vectors, so `learning` runs the same
+comparison from weighted initial distributions.
 
 m-counterfactual equivalence: joint probabilities over a shared resolution
 agree for every finite collection of (history, policy) pairs.  Decided by
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from .core import (
@@ -43,7 +44,6 @@ from .core import (
 )
 from .envpolicy import BehaviorMap, _behaviors
 from .errors import InputError, SimilarityError
-from .trajectory import _weight
 
 _ZERO = Fraction(0)
 
@@ -146,9 +146,26 @@ def _span(vectors) -> list[dict]:
     return [b for _, b in basis]
 
 
-def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
-    """Decide m-equivalence, with a witness on failure: the first history,
-    in `history_sort_key` order, whose weights differ.
+def _on_pivots(basis: list[dict], values: dict) -> dict:
+    """A multiple of the functional that is `values[k]` on `basis[k]`, as a
+    vector on the pivots of the echelon basis: their matrix is triangular,
+    so back-substitution solves it, scaling instead of dividing."""
+    phi: dict = {}
+    scale = 1  # the functional is phi / scale
+    for k, b in reversed(list(enumerate(basis))):
+        pivot = min(b)
+        x = values.get(k, 0) * scale - _dot(phi, b)
+        phi = {i: b[pivot] * y for i, y in phi.items()} | {pivot: x}
+        scale *= b[pivot]
+    return _primitive(phi)
+
+
+def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
+    """The first history of length <= m, in `history_sort_key` order, whose
+    weight from p1's start differs from its weight from p2's start, as
+    (h, (w₁(h), w₂(h)), (w₁(o0), w₂(o0))) with o0 = h's initial
+    observation; None when every weight agrees.  `starts` holds each
+    side's (state, weight) pairs in place of its initial distribution.
 
     The forward vector v(h) = (α₁(h), α₂(h)) of unnormalized beliefs lives
     on the disjoint union of both state sets, with v(h·a·o) = v(h)·M_{a,o}
@@ -160,106 +177,100 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     t: the first o0, then the first (a, o), in sorted symbol order, whose
     vector is not annihilated by R_k = span{M_w·f : |w| = k}, k the turns
     left; some extension of such a prefix fails, and none of an earlier one.
+    Only v·r for v in F_j matters, so R_k is kept on the pivots of F_j's
+    basis (`_on_pivots`), from the values r·(b·M_{a,o}) on its vectors b.
 
-    Kernel entries are scaled by one common denominator to integers, which
-    moves neither a span nor a zero.  A state's rows are read once a
-    forward vector reaches it, every row a reachable history of length up
-    to m needs, so a missing one raises as in `core.history_weights`.
+    Weights are scaled by one common denominator to integers, which moves
+    neither a span nor a zero; a vector at turn t is scale**(2t + 2) times
+    the beliefs.  The forward pass reads a state's rows once a vector
+    reaches it, up to turn m whatever the failing turn, so a missing row
+    that a history of length <= m needs raises.
     """
-    ensure_similar(p1, p2)
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
     envs = (p1, p2)
-    scale = lcm(*(
-        w.denominator
-        for p in envs
-        for d in (p.init, *(d for _, d in p.trans), *(d for _, d in p.obs))
-        for _, w in d.entries
-    ))
+    rows = [*starts, *(d.entries for p in envs for _, d in (*p.trans, *p.obs))]
+    scale = lcm(*(w.denominator for entries in rows for _, w in entries))
 
-    def scaled(dist) -> list:
-        return [
-            (x, w.numerator * (scale // w.denominator)) for x, w in dist.entries if w > 0
-        ]
+    def scaled(entries) -> list:
+        return [(x, w.numerator * (scale // w.denominator)) for x, w in entries if w > 0]
 
-    @cache
-    def trans(i: tuple[int, str], a: str) -> list:
-        side, s = i
-        return [((side, s2), w) for s2, w in scaled(envs[side].trans_dist(s, a))]
-
-    @cache
     def obs(i: tuple[int, str]) -> list:
-        return scaled(envs[i[0]].obs_dist(i[1]))
+        return scaled(envs[i[0]].obs_dist(i[1]).entries)
 
     def children(v: dict) -> dict[tuple[str, str], dict]:
         """v·M_{a,o} for each (a, o) where it is not zero."""
         out: dict[tuple[str, str], dict] = {}
         for a in p1.actions:
             moved: dict = {}
-            for i, x in v.items():
-                for j, w in trans(i, a):
-                    moved[j] = moved.get(j, 0) + x * w
+            for (side, s), x in v.items():
+                for s2, w in scaled(envs[side].trans_dist(s, a).entries):
+                    moved[side, s2] = moved.get((side, s2), 0) + x * w
             for j, x in moved.items():
                 if x:
                     for o, w in obs(j):
                         out.setdefault((a, o), {})[j] = x * w
         return out
 
-    def pulled(r: dict, states: set) -> list[dict]:
-        """M_{a,o}·r on `states`, for each (a, o)."""
-        out: dict[tuple[str, str], dict] = {}
-        for a in p1.actions:
-            for i in states:
-                for j, w in trans(i, a):
-                    if j in r:
-                        for o, wo in obs(j):
-                            u = out.setdefault((a, o), {})
-                            u[i] = u.get(i, 0) + w * wo * r[j]
-        return list(out.values())
-
     start: dict[str, dict] = {}
-    for side, p in enumerate(envs):
-        for s, w in scaled(p.init):
+    for side in (0, 1):
+        for s, w in scaled(starts[side]):
             for o, wo in obs((side, s)):
-                v = start.setdefault(o, {})
-                v[side, s] = v.get((side, s), 0) + w * wo
+                start.setdefault(o, {})[side, s] = w * wo
     basis = _span(start.values())
-    reached: list[set] = []  # the states in the forward vectors, per turn
+    bases: list[list[dict]] = []  # F_0 .. F_failing
     failing = None
     for t in range(m + 1):
         if t:
             basis = _span(c for b in basis for c in children(b).values())
-        reached.append(set().union(*basis))
-        if failing is None and any(_signed(b) for b in basis):
-            failing = t
+        if failing is None:
+            bases.append(basis)
+            if any(_signed(b) for b in basis):
+                failing = t
     if failing is None:
-        return Verdict(equivalent=True)
+        return None
 
-    # back[j] spans R_{failing - j}, restricted to the states reached at turn j
-    back = [[{i: -1 if i[0] else 1 for i in reached[failing]}]]
+    # back[j] spans R_{failing - j} on F_j
+    back = [[_on_pivots(bases[failing], dict(enumerate(map(_signed, bases[failing]))))]]
     for j in range(failing - 1, -1, -1):
-        back.insert(0, _span(u for r in back[0] for u in pulled(r, reached[j])))
+        values: dict = {}
+        for k, b in enumerate(bases[j]):
+            for ao, c in children(b).items():
+                for n, r in enumerate(back[0]):
+                    values.setdefault((ao, n), {})[k] = _dot(r, c)
+        back.insert(0, [_on_pivots(bases[j], u) for u in _span(values.values())])
 
     def live(v: dict, j: int) -> bool:
-        return any(_dot(v, r) for r in back[j])
+        return any(_dot(r, v) for r in back[j])
+
+    def weights(v: dict, t: int) -> tuple[Rat, ...]:
+        sums = [sum(x for (side, _), x in v.items() if side == i) for i in (0, 1)]
+        return tuple(Fraction(x, scale ** (2 * t + 2)) for x in sums)
 
     o0 = next(o for o in sorted(start) if live(start[o], 0))
     h, v = History(o0), start[o0]
     for j in range(1, failing + 1):
         kids = children(v)
         a, o = next(ao for ao in sorted(kids) if live(kids[ao], j))
-        h, v = h.extend(a, o), _primitive(kids[a, o])
+        h, v = h.extend(a, o), kids[a, o]
+    return h, weights(v, failing), weights(start[o0], 0)
 
-    def value(p: Pomdp) -> Rat:
+
+def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
+    """Decide m-equivalence, with a witness on failure: the first history,
+    in `history_sort_key` order, whose weights differ (`_first_failure`
+    from both initial distributions)."""
+    ensure_similar(p1, p2)
+    if m < 0:
+        raise InputError(f"turn count must be >= 0, got {m}")
+    failure = _first_failure(p1, p2, m, (p1.init.entries, p2.init.entries))
+    if failure is None:
+        return Verdict(equivalent=True)
+    h, values, o0_weights = failure
+    if h.length:
         # past length 0 every o0 weight agrees, and h's is positive
-        w = _weight(p, h)
-        return w / _weight(p, h.prefix(0)) if failing else w
-
+        values = tuple(w / w0 for w, w0 in zip(values, o0_weights))
     return Verdict(
         equivalent=False,
-        witness=ConditionalWitness(
-            h, h.prefix(0), DeterministicPolicy.script(h), value(p1), value(p2)
-        ),
+        witness=ConditionalWitness(h, h.prefix(0), DeterministicPolicy.script(h), *values),
     )
 
 

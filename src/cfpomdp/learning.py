@@ -15,9 +15,11 @@ distribution is exactly `behavior_partition(env, m).masses()`.  `transfer`
 compares those masses instead of calling `check_cf_equiv`.
 
 The value is linear in the start vector: with w(h | start) the weight of h
-from a start vector (`core.history_weights`), P(h) = w(h | init * w) /
-w(h | init).  `evaluate` folds both along one history; `verify_universality`
-compares the ratios of two forward passes per environment.
+from a start vector (`trajectory._weight`), P(h) = w(h | init * w) /
+w(h | init).  `evaluate` folds both along one history.  `transfer` has
+already made w(h | init) agree on both sides, so `verify_universality` runs
+`check_equiv`'s span comparison (`equivalence._first_failure`) from the
+weighted starts init * w.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from functools import cached_property
 from pathlib import Path
 
 from .core import History, Pomdp, Rat, _inexact, as_rational, parse_rational
-from .core import history_sort_key, history_weights
 from .determinize import behavior_partition, is_deterministic
 from .envfile import read_text
-from .equivalence import ensure_similar
+from .equivalence import _first_failure, ensure_similar
 from .errors import DeterminismError, InputError
 from .trajectory import _weight
 
@@ -135,25 +136,15 @@ def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
     return PureLearningSpec.of(target, new_weights, m)
 
 
-def _values(spec: PureLearningSpec) -> dict[History, Rat]:
-    """`evaluate(spec, h)` for every reachable history of length <=
-    `spec.horizon`, from two forward passes."""
-    weighted = history_weights(spec.env, spec.horizon, _start(spec))
-    return {
-        h: weighted.get(h, _ZERO) / total
-        for h, total in history_weights(spec.env, spec.horizon).items()
-    }
-
-
 def _first_difference(spec: PureLearningSpec, moved: PureLearningSpec) -> History | None:
-    """The first reachable history of length <= `spec.horizon`, in canonical
-    order over both environments, on which `moved` (a transfer of `spec` to
-    `moved.env`) disagrees with `spec`; None when they agree everywhere."""
-    before, after = _values(spec), _values(moved)
-    for h in sorted(before.keys() | after.keys(), key=history_sort_key):
-        if before.get(h, _ZERO) != after.get(h, _ZERO):
-            return h
-    return None
+    """The first history of length <= `spec.horizon`, in `history_sort_key`
+    order, on which `moved` disagrees with `spec`; None when they agree
+    everywhere.  `moved.env` must be m-equivalent to `spec.env` (as after
+    `transfer`), so w(h | init) agrees on both sides and the values differ
+    exactly where w(h | init * w) does: `check_equiv`'s comparison from the
+    weighted starts.  Impossible histories read 0 on both sides."""
+    failure = _first_failure(spec.env, moved.env, spec.horizon, (_start(spec), _start(moved)))
+    return None if failure is None else failure[0]
 
 
 def verify_universality(

@@ -1,16 +1,17 @@
 """History probabilities, conditional history probabilities, and the Bayes
 posterior over the initial state.
 
-Probabilities fold the forward step of `core._forward` along one history:
-the unnormalized belief over the current state, split by observation after
-each action.  State sequences are marginalized, never enumerated.
+Probabilities fold one forward step along one history: the unnormalized
+belief over the current state, moved by each action and split by
+observation (`core._observe`).  State sequences are marginalized, never
+enumerated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import History, Pomdp, Rat, StochasticPolicy, _moved, _observe
+from .core import History, Pomdp, Rat, StochasticPolicy, _observe
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -18,7 +19,7 @@ _ONE = Fraction(1)
 
 def _weight(p: Pomdp, h: History, start=None) -> Rat:
     """Total weight of `h` with all policy factors dropped: the forward step
-    of `core._forward` folded along `h` alone.
+    folded along `h` alone.
 
     This is the probability of `h` under the policy that plays h's own
     actions.  `start` is (state, weight) pairs replacing the initial
@@ -26,7 +27,10 @@ def _weight(p: Pomdp, h: History, start=None) -> Rat:
     """
     belief = _observe(p, p.init.entries if start is None else start).get(h.initial_obs, {})
     for action, obs in h.steps:
-        belief = _observe(p, _moved(p, belief, action)).get(obs, {})
+        moved = (
+            (s2, w * wt) for s, w in belief.items() for s2, wt in p.trans_dist(s, action).entries
+        )
+        belief = _observe(p, moved).get(obs, {})
     return sum(belief.values(), _ZERO)
 
 

@@ -462,6 +462,31 @@ class TestFileErrorsExitTwo:
         result = invoke(runner, "determinize", MU, "--m", "1", "-o", str(out))
         self.check(result, "No such file or directory", str(out))
 
+    @staticmethod
+    def argv(verb, path, tmp_path):
+        """`verb` with `path` in its FILE argument, or in --weights."""
+        return {
+            "validate": ["validate", path],
+            "equiv": ["equiv", MU, path, "--m", "1"],
+            "learn-transfer": ["learn-transfer", MU_STAR, MU_STAR, "--m", "1",
+                               "--weights", path, "-o", str(tmp_path / "out.w")],
+        }[verb]
+
+    @pytest.mark.parametrize("verb", ["validate", "equiv", "learn-transfer"])
+    def test_missing_file(self, runner, tmp_path, verb):
+        missing = str(tmp_path / "no-such.env")
+        result = invoke(runner, *self.argv(verb, missing, tmp_path))
+        self.check(result, "No such file or directory", missing)
+
+    @pytest.mark.parametrize("verb", ["validate", "equiv", "learn-transfer"])
+    def test_directory_as_file(self, runner, tmp_path, verb):
+        result = invoke(runner, *self.argv(verb, str(tmp_path), tmp_path))
+        self.check(result, "Is a directory", str(tmp_path))
+
+    def test_output_is_a_directory(self, runner, tmp_path):
+        result = invoke(runner, "determinize", MU, "--m", "1", "-o", str(tmp_path))
+        self.check(result, "Is a directory", str(tmp_path))
+
     def test_broken_pipe_is_left_to_click(self, runner, monkeypatch):
         # click quiets a closed stdout and exits 1; the handler must not
         # turn it into an input error

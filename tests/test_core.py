@@ -17,7 +17,7 @@ from cfpomdp import (
     validate,
 )
 
-from helpers import prefixes, random_pomdp, tiny_two_state
+from helpers import brute_history_prob, prefixes, random_pomdp, tiny_two_state
 
 
 class TestParseRational:
@@ -226,6 +226,24 @@ class TestReachableHistories:
     def test_negative_horizon_rejected(self, mu):
         with pytest.raises(InputError):
             reachable_histories(mu, -1)
+
+    def test_positive_brute_probability_under_uniform_policy(self, rng):
+        # exactly the histories of positive probability when every action
+        # is played with probability 1/|A|, in canonical order; the policy
+        # is written out over every history, reachable or not
+        for _ in range(6):
+            p = random_pomdp(rng, max_states=3, max_actions=2, max_obs=2)
+            m = rng.randint(0, 3)
+            layers = [[History(o) for o in p.observations]]
+            for _ in range(m):
+                layers.append([h.extend(a, o) for h in layers[-1]
+                               for a in p.actions for o in p.observations])
+            uniform = FiniteDist.of({a: Fraction(1, len(p.actions)) for a in p.actions})
+            pi = StochasticPolicy(tuple((h, uniform) for layer in layers[:-1] for h in layer))
+            assert reachable_histories(p, m) == {
+                t: tuple(h for h in layer if brute_history_prob(p, h, pi) > 0)
+                for t, layer in enumerate(layers)
+            }
 
 
 class TestEnumerateDetPolicies:

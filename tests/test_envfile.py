@@ -108,7 +108,8 @@ class TestParsing:
             ("init: s 1", "init: s 0.5 | t 0.5",
              "line 5: not a rational literal: '0.5' (use p/q or an integer)"),
             ("trans: t a -> t 1", "trans: t a -> t 1/2 | t 1/2",
-             "line 0: duplicate entry 't' in distribution"),
+             "line 9: duplicate entry 't' in distribution"),
+            ("init: s 1", "init: s 1/2 | s 1/2", "line 5: duplicate entry 's' in distribution"),
         ],
     )
     def test_malformed_input_messages(self, needle, replacement, message):

@@ -27,7 +27,14 @@ from cfpomdp.core import history_sort_key
 from cfpomdp.determinize import behavior_partition
 from cfpomdp.learning import _first_difference
 
-from helpers import cell_of, random_pomdp, reachable_up_to
+from helpers import (
+    cell_of,
+    random_cf_env,
+    random_pomdp,
+    reachable_up_to,
+    relabel_states,
+    split_initial_state,
+)
 
 STAR_STATES = ("s0^00", "s0^01", "s0^10", "s0^11")
 
@@ -304,6 +311,50 @@ class TestForwardValues:
                     assert _first_difference(flat, moved) == first_posterior_difference(
                         flat, moved, union
                     )
+
+    def test_universality_and_moved_weights_match_posterior(self, rng):
+        # the minimized twin against the twin of a relabelled, start-split
+        # copy: the transfer is verified, and moving weight between two
+        # initial states of one o0 gives the first posterior difference
+        # over both environments' reachable histories
+        outcomes = set()
+        for _ in range(6):
+            p = random_cf_env(rng, rng.randint(2, 3))
+            for m in (1, 2):
+                source = minimize(determinize(p, m), m)
+                target = determinize(relabel_states(split_initial_state(p)), m)
+                spec = PureLearningSpec.of(
+                    source, {s: Fraction(rng.randint(0, 4), 4) for s in source.init.support}, m
+                )
+                assert verify_universality(spec, target, m) == (True, None)
+                weights = dict(transfer(spec, target, m).weights)
+                init = target.init
+
+                def room(s1, s2):
+                    """The initial mass that can move from s2 to s1."""
+                    return min((1 - weights[s1]) * init.prob(s1), weights[s2] * init.prob(s2))
+
+                pairs = [
+                    (s1, s2)
+                    for s1 in init.support
+                    for s2 in init.support
+                    if s1 != s2 and target.obs_dist(s1) == target.obs_dist(s2) and room(s1, s2)
+                ]
+                if not pairs:
+                    continue
+                s1, s2 = rng.choice(pairs)
+                mass = room(s1, s2) / 2
+                weights[s1] += mass / init.prob(s1)
+                weights[s2] -= mass / init.prob(s2)
+                shifted = PureLearningSpec.of(target, weights, m)
+                union = sorted(
+                    set(reachable_up_to(source, m)) | set(reachable_up_to(target, m)),
+                    key=history_sort_key,
+                )
+                expected = first_posterior_difference(spec, shifted, union)
+                assert _first_difference(spec, shifted) == expected
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
     def test_unknown_observation_rejected(self, mu_star):
         with pytest.raises(InputError):
