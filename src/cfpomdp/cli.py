@@ -7,13 +7,15 @@ the seed, for `simulate`).
 
 from __future__ import annotations
 
+import errno
+import os
+
 import click
 
 from .core import (
     DeterministicPolicy,
     History,
     Pomdp,
-    StochasticPolicy,
     validate as validate_pomdp,
 )
 from .determinize import determinize as determinize_env
@@ -67,17 +69,23 @@ def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
     return DeterministicPolicy(tuple(decisions))
 
 
-def _policy_to_text(pi: StochasticPolicy | DeterministicPolicy) -> str:
-    if isinstance(pi, StochasticPolicy):
-        entries = [(h, d.entries[0][0]) for h, d in pi.decisions if d.is_point()]
-        if len(entries) != len(pi.decisions):
-            return "; ".join(f"{h} -> {d}" for h, d in pi.decisions)
-    else:
-        entries = list(pi.decisions)
-    actions = {a for _, a in entries}
+def _policy_to_text(pi: DeterministicPolicy) -> str:
+    actions = {a for _, a in pi.decisions}
     if len(actions) == 1:
         return next(iter(actions))
-    return ", ".join(f"{h} -> {a}" for h, a in entries)
+    return ", ".join(f"{h} -> {a}" for h, a in pi.decisions)
+
+
+def _check_output(ctx, param, path: str) -> str:
+    """-o fails before any work, with the write's own error, when it names a
+    directory or a parent directory that cannot be reached."""
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    return path
 
 
 def _print_witness(witness: ConditionalWitness | CollectionWitness) -> None:
@@ -89,9 +97,9 @@ def _print_witness(witness: ConditionalWitness | CollectionWitness) -> None:
             f"{witness.value_left} | {witness.value_right}"
         )
     else:
-        for h, pi in witness.query.pairs:
+        for h, _ in witness.query.pairs:  # each policy is the script of its history
             click.echo(
-                f"{h} | {_policy_to_text(pi)} | "
+                f"{h} | {_policy_to_text(DeterministicPolicy.script(h))} | "
                 f"{witness.value_left} | {witness.value_right}"
             )
 
@@ -170,7 +178,7 @@ def cf_equiv(file1, file2, m, witness):
 @main.command()
 @click.argument("file")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
-@click.option("-o", "out", metavar="FILE", required=True)
+@click.option("-o", "out", metavar="FILE", required=True, callback=_check_output)
 @click.option("--minimize", "do_minimize", is_flag=True,
               help="Quotient the result by its behavior partition.")
 def determinize(file, m, out, do_minimize):
@@ -258,7 +266,7 @@ def learn(file, m, weights_path, history_text):
 @click.argument("tgt")
 @click.option("--m", "m", type=int, required=True, help="Horizon (turn count).")
 @click.option("--weights", "weights_path", metavar="FILE", required=True)
-@click.option("-o", "out", metavar="FILE", required=True)
+@click.option("-o", "out", metavar="FILE", required=True, callback=_check_output)
 @click.option("--verify", is_flag=True,
               help="Check the transferred process agrees on every reachable history.")
 def learn_transfer(src, tgt, m, weights_path, out, verify):

@@ -489,14 +489,11 @@ class StochasticPolicy:
     def _map(self) -> dict[History, FiniteDist]:
         return dict(self.decisions)
 
-    def dist_at(self, h: History) -> FiniteDist:
+    def prob(self, h: History, action: str) -> Rat:
         try:
-            return self._map[h]
+            return self._map[h].prob(action)
         except KeyError:
             raise InputError(f"policy undefined at history {h}") from None
-
-    def prob(self, h: History, action: str) -> Rat:
-        return self.dist_at(h).prob(action)
 
     @classmethod
     def uniform(cls, p: Pomdp, m: int) -> "StochasticPolicy":

@@ -24,6 +24,7 @@ from .core import (
     StochasticPolicy,
 )
 from .errors import InputError
+from .trajectory import _policy_factor
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,25 +69,19 @@ class EnvironmentPolicy:
                 f"environment policy has no observation choice at ({state}, {turn})"
             ) from None
 
+    def _key(self) -> tuple:
+        """The choices read as mappings, a later repeated choice winning.  Not
+        cached: kept on every resolution of a posterior, it would double its memory."""
+        return (self.init_state, self.horizon, frozenset(dict(self.trans_choice).items()),
+                frozenset(dict(self.obs_choice).items()))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EnvironmentPolicy):
             return NotImplemented
-        return (
-            self.init_state == other.init_state
-            and self.horizon == other.horizon
-            and self._trans == other._trans
-            and self._obs == other._obs
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.init_state,
-                self.horizon,
-                frozenset(self.trans_choice),
-                frozenset(self.obs_choice),
-            )
-        )
+        return hash(self._key())
 
     def describe(self) -> str:
         trans = " ".join(
@@ -222,48 +217,53 @@ def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
     return prob
 
 
+def _generates(h: History, x, label, step) -> bool:
+    """Whether the deterministic evolution from `x`, driven by h's own
+    actions, makes h's observations; `label` and `step` are as in
+    `behavior_tree` (a resolution's `obs_at` and `next_state`, or a tree's
+    walk).  Reads stop at the first other observation."""
+    if label(x, 0) != h.initial_obs:
+        return False
+    for turn, (action, obs) in enumerate(h.steps, start=1):
+        x = step(x, action, turn)
+        if label(x, turn) != obs:
+            return False
+    return True
+
+
 def history_prob_given_ep(
     p: Pomdp, h: History, ep: EnvironmentPolicy, pi: StochasticPolicy
 ) -> Rat:
-    """Probability of `h` given one resolution: the product of the policy's
-    action probabilities if `h` is consistent with the resolution's
-    deterministic evolution, else 0."""
+    """Probability of `h` given one resolution: the policy's factor along
+    `h` if the resolution generates `h`, else 0 (and the policy is not read)."""
     p.check_history_symbols(h)
     if h.length > ep.horizon:
         raise InputError(
             f"history length {h.length} exceeds environment policy horizon {ep.horizon}"
         )
-    state = ep.init_state
-    if ep.obs_at(state, 0) != h.initial_obs:
-        return _ZERO
-    prob = _ONE
-    for turn, (action, obs) in enumerate(h.steps, start=1):
-        prob *= pi.prob(h.prefix(turn - 1), action)
-        if prob == 0:
-            return _ZERO
-        state = ep.next_state(state, action, turn)
-        if ep.obs_at(state, turn) != obs:
-            return _ZERO
-    return prob
+    generated = _generates(h, ep.init_state, ep.obs_at, ep.next_state)
+    return _policy_factor(h, pi) if generated else _ZERO
 
 
 def env_policy_posterior(
     p: Pomdp, h: History, pi: StochasticPolicy, m: int | None = None
 ) -> dict[EnvironmentPolicy, Rat]:
     """Posterior over the reduced support of horizon `m` (default: covering
-    `h`) given `h`; all-zero when `h` is impossible under `pi`."""
+    `h`) given `h`; all-zero when `h` is impossible under `pi`.  The policy's
+    factor cancels, so this is the prior on the resolutions generating `h`:
+    the deterministic twin's `initial_posterior` over its initial states."""
     if m is None:
         m = max(h.length, 1)
     if m < h.length:
         raise InputError(f"posterior horizon {m} shorter than history ({h.length})")
     support = enumerate_support(p, m)
-    joint = {
-        ep: prior * history_prob_given_ep(p, h, ep, pi) for ep, prior in support
-    }
-    total = sum(joint.values(), _ZERO)
-    if total == 0:
+    p.check_history_symbols(h)
+    joint = [prior if _generates(h, ep.init_state, ep.obs_at, ep.next_state) else _ZERO
+             for ep, prior in support]
+    total = sum(joint, _ZERO)
+    if total == 0 or _policy_factor(h, pi) == 0:
         return {ep: _ZERO for ep, _ in support}
-    return {ep: w / total for ep, w in joint.items()}
+    return {ep: w / total for (ep, _), w in zip(support, joint)}
 
 
 class _TreeMemo(dict):

@@ -17,12 +17,13 @@ comparison from weighted initial distributions.
 
 m-counterfactual equivalence: joint probabilities over a shared resolution
 agree for every finite collection of (history, policy) pairs.  Decided by
-comparing the full distributions over behavior maps: a collection of
-deterministic pairs has, as its joint probability, the total mass of the
-behavior maps consistent with every pair, so the behavior-map distribution
-determines all collection probabilities (stochastic policies reduce to
-convex combinations of deterministic ones); conversely the distribution is
-recovered from collections that pin down a full behavior map.  Both
+comparing the full distributions over behavior maps: under one map a
+history's probability is its policy's factor along it
+(`trajectory._policy_factor`) if the map generates it, else 0, so a
+collection's joint probability is the mass of the maps generating every
+paired history times the policies' factors, and the behavior-map
+distribution determines it; conversely the distribution is recovered from
+collections that pin down a full behavior map.  Both
 `behavior_distribution` and `collection_prob` work from that distribution,
 which `envpolicy._behaviors`, a dynamic program over (turn, visited states),
 builds without enumerating resolutions; labelled by observation, its nodes
@@ -42,8 +43,9 @@ from .core import (
     Rat,
     StochasticPolicy,
 )
-from .envpolicy import BehaviorMap, _behaviors
+from .envpolicy import BehaviorMap, _behaviors, _generates
 from .errors import InputError, SimilarityError
+from .trajectory import _policy_factor
 
 _ZERO = Fraction(0)
 
@@ -182,9 +184,9 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
 
     Weights are scaled by one common denominator to integers, which moves
     neither a span nor a zero; a vector at turn t is scale**(2t + 2) times
-    the beliefs.  The forward pass reads a state's rows once a vector
-    reaches it, up to turn m whatever the failing turn, so a missing row
-    that a history of length <= m needs raises.
+    the beliefs.  The pass reads a state's rows once a vector reaches it and
+    stops at the failing turn; up to turn m it then follows reached states
+    alone, so a missing row that a history of length <= m needs raises.
     """
     envs = (p1, p2)
     rows = [*starts, *(d.entries for p in envs for _, d in (*p.trans, *p.obs))]
@@ -215,18 +217,18 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
         for s, w in scaled(starts[side]):
             for o, wo in obs((side, s)):
                 start.setdefault(o, {})[side, s] = w * wo
-    basis = _span(start.values())
-    bases: list[list[dict]] = []  # F_0 .. F_failing
-    failing = None
-    for t in range(m + 1):
-        if t:
-            basis = _span(c for b in basis for c in children(b).values())
-        if failing is None:
-            bases.append(basis)
-            if any(_signed(b) for b in basis):
-                failing = t
-    if failing is None:
-        return None
+    bases = [_span(start.values())]  # F_0 .. F_failing
+    while not any(_signed(b) for b in bases[-1]):
+        if len(bases) > m:
+            return None
+        bases.append(_span(c for b in bases[-1] for c in children(b).values()))
+    failing = len(bases) - 1
+    # rows only from here: no history after the failing turn is compared
+    reached = dict.fromkeys(j for b in bases[-1] for j in b)
+    for _ in range(failing, m):
+        moved = dict.fromkeys((side, s2) for side, s in reached for a in p1.actions
+                              for s2, _ in scaled(envs[side].trans_dist(s, a).entries))
+        reached = {j: None for j in moved if obs(j)}
 
     # back[j] spans R_{failing - j} on F_j
     back = [[_on_pivots(bases[failing], dict(enumerate(map(_signed, bases[failing]))))]]
@@ -276,29 +278,21 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
 
 def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     """Joint probability that agents sharing one resolution each see their
-    paired history: the sum over behavior maps of the map's mass times the
-    product of the per-agent history probabilities, each read by walking
-    the history's actions down the map's tree."""
+    paired history: the mass of the behavior maps whose trees generate every
+    paired history, times the policies' factors, read only if it is positive."""
     for h, _ in q.pairs:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
         p.check_history_symbols(h)
-    total = _ZERO
-    for bm, term in behavior_distribution(p, m).items():
-        for h, pi in q.pairs:
-            obs, children = bm.tree
-            if obs != h.initial_obs:
-                term = _ZERO
-            for turn, (action, o) in enumerate(h.steps):
-                if term == 0:
-                    break
-                term *= pi.prob(h.prefix(turn), action)
-                obs, children = children[bm.actions.index(action)]
-                if obs != o:
-                    term = _ZERO
-            if term == 0:
-                break
-        total += term
+    slot = {a: i for i, a in enumerate(sorted(p.actions))}  # the trees' child order
+    total = sum((mass for bm, mass in behavior_distribution(p, m).items()
+                 if all(_generates(h, bm.tree, lambda node, _: node[0],
+                                   lambda node, a, _: node[1][slot[a]]) for h, _ in q.pairs)),
+                _ZERO)
+    for h, pi in q.pairs:
+        if total == 0:
+            break
+        total *= _policy_factor(h, pi)
     return total
 
 

@@ -487,6 +487,32 @@ class TestFileErrorsExitTwo:
         result = invoke(runner, "determinize", MU, "--m", "1", "-o", str(tmp_path))
         self.check(result, "Is a directory", str(tmp_path))
 
+    @pytest.mark.parametrize("verb", ["determinize", "learn-transfer"])
+    @pytest.mark.parametrize("case", ["directory", "missing parent"])
+    def test_output_checked_before_any_work(self, runner, tmp_path, monkeypatch, verb, case):
+        import cfpomdp.cli
+
+        def engine(*args):
+            raise AssertionError("computed before -o was checked")
+
+        monkeypatch.setattr(cfpomdp.cli, "determinize_env", engine)
+        monkeypatch.setattr(cfpomdp.cli, "transfer", engine)
+        out = str(tmp_path) if case == "directory" else str(tmp_path / "no-such-dir" / "out")
+        weights = tmp_path / "w.txt"
+        weights.write_text("s0^00 1/2\ns0^01 1/3\ns0^10 0\ns0^11 1\n")
+        argv = {
+            "determinize": ["determinize", MU, "--m", "1", "-o", out],
+            "learn-transfer": ["learn-transfer", MU_STAR, MU_STAR, "--m", "1",
+                               "--weights", str(weights), "-o", out],
+        }[verb]
+        before = sorted(tmp_path.iterdir())
+        result = invoke(runner, *argv)
+        message = ("[Errno 21] Is a directory" if case == "directory"
+                   else "[Errno 2] No such file or directory")
+        assert result.stderr.splitlines() == [f"error: {message}: {out!r}"]
+        self.check(result)
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_broken_pipe_is_left_to_click(self, runner, monkeypatch):
         # click quiets a closed stdout and exits 1; the handler must not
         # turn it into an input error

@@ -12,12 +12,14 @@ from cfpomdp import (
     StochasticPolicy,
     behavior_map,
     count_env_policies,
+    determinize,
     enumerate_det_policies,
     enumerate_support,
     env_policy_posterior,
     env_policy_prob,
     history_prob,
     history_prob_given_ep,
+    initial_posterior,
 )
 from cfpomdp.core import decision_points
 
@@ -59,6 +61,24 @@ def mu_ep(i, j):
         {("s0", 0): "o0", (lo, 1): lo, (hi, 1): hi},
         1,
     )
+
+
+class TestEnvironmentPolicyKey:
+    def test_choice_order_is_ignored(self, mu):
+        for ep, _ in enumerate_support(mu, 2):
+            reordered = EnvironmentPolicy(
+                ep.init_state, ep.trans_choice[::-1], ep.obs_choice[::-1], ep.horizon
+            )
+            assert reordered == ep and hash(reordered) == hash(ep)
+        assert len({ep for ep, _ in enumerate_support(mu, 2)}) == 4
+
+    def test_later_repeated_choice_wins(self):
+        ep = mu_ep(1, 1)
+        repeated = EnvironmentPolicy(
+            "s0", ((("s0", "a0", 1), "s00"),) + ep.trans_choice, ep.obs_choice, 1
+        )
+        assert repeated == ep and hash(repeated) == hash(ep)
+        assert repeated != mu_ep(0, 1)
 
 
 class TestEnumerateSupport:
@@ -237,6 +257,14 @@ class TestHistoryProbGivenEp:
         pi = DeterministicPolicy.constant(mu, 1, "a0").as_stochastic()
         assert history_prob_given_ep(mu, h, mu_ep(0, 1), pi) == 1
 
+    def test_missing_choice_raises_whatever_the_policy(self, mu):
+        # the walk asks only the resolution, so a choice h needs is read even
+        # where the policy gives h probability 0
+        ep = make_ep("s0", {("s0", "a1", 1): "s10"}, {("s0", 0): "o0", ("s10", 1): "s10"}, 1)
+        never_a0 = DeterministicPolicy.constant(mu, 1, "a1").as_stochastic()
+        with pytest.raises(InputError, match=r"no choice at \(s0, a0, 1\)"):
+            history_prob_given_ep(mu, History.parse("o0 a0 s00"), ep, never_a0)
+
     def test_two_views_consistency(self, corpus, rng):
         # mixing the per-resolution probabilities with the resolution prior
         # reproduces the plain history probability
@@ -292,6 +320,40 @@ class TestEnvPolicyPosterior:
         pi = DeterministicPolicy.constant(mu, 1, "a0").as_stochastic()
         post = env_policy_posterior(mu, History.parse("o0 a0 s10"), pi)
         assert all(v == 0 for v in post.values())
+
+    def test_policy_read_only_where_generated(self, mu):
+        # the policy is undefined at o0 a0 s00, which some resolution
+        # reaches, but none generates the whole history: 0, not an error
+        h = History.parse("o0 a0 s00 a1 s01")
+        pi = DeterministicPolicy.script(History.parse("o0 a0 s00")).as_stochastic()
+        support = enumerate_support(mu, 2)
+        assert all(history_prob_given_ep(mu, h, ep, pi) == 0 for ep, _ in support)
+        assert all(v == 0 for v in env_policy_posterior(mu, h, pi, 2).values())
+        generated = History.parse("o0 a0 s00 a1 s00")
+        with pytest.raises(InputError, match="policy undefined at history o0 a0 s00"):
+            env_policy_posterior(mu, generated, pi, 2)
+        with pytest.raises(InputError, match="policy undefined at history o0 a0 s00"):
+            history_prob_given_ep(mu, generated, support[0][0], pi)
+
+    def test_is_the_twins_initial_posterior(self, corpus, rng):
+        # the twin keeps all its uncertainty in the initial state, one per
+        # resolution and in the support's order
+        environments = list(corpus.values()) + [
+            random_pomdp(rng, horizon_cap=3, resolution_cap=200) for _ in range(4)
+        ]
+        for p in environments:
+            for m in (1, 2, 3):
+                twin = determinize(p, m)
+                reachable = reachable_up_to(p, m)
+                histories = rng.sample(reachable, min(len(reachable), 25))
+                histories += [h.extend(a, o) for h in histories[:5] if h.length < m
+                              for a in p.actions[:1] for o in p.observations]
+                for h in histories:
+                    pi = DeterministicPolicy.script(h).as_stochastic()
+                    post = initial_posterior(twin, h)
+                    assert list(env_policy_posterior(p, h, pi, m).values()) == [
+                        post[s] for s in twin.init.support
+                    ], (p, m, h)
 
 
 class TestBehaviorMap:

@@ -316,6 +316,23 @@ class TestCheckEquivOracle:
             assert w.value_left == cond_history_prob(declared, w.h_long, w.h_short, pi) == 0
             assert w.value_right == cond_history_prob(unrolled, w.h_long, w.h_short, pi) > 0
 
+    def test_pass_stops_at_the_failing_turn(self, monkeypatch):
+        # past the failing turn only the rows are read: no span grows with m
+        import cfpomdp.equivalence
+
+        span = cfpomdp.equivalence._span
+        calls = []
+        monkeypatch.setattr(
+            cfpomdp.equivalence, "_span", lambda vectors: calls.append(None) or span(vectors)
+        )
+        declared, unrolled = fresh_observation_pair(aliased_env(), 20)
+        counts = []
+        for m in (20, 21, 50):
+            calls.clear()
+            assert check_equiv(declared, unrolled, m).witness.h_long.length == 20
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
+
     def test_initial_observation_odds_compared(self):
         # the odds of o0 differ, so a single agent already tells the pair
         # apart at length 0; the witness values are the unconditional
@@ -642,6 +659,12 @@ class TestCfGuards:
         # a prefix that no resolution reaches is never read
         unreached = CollectionQuery(((History.parse("o0 a0 o0 a1 s00"), first),))
         assert collection_prob(mu, unreached, 2) == 0
+        # nor is one that some resolution reaches when none generates the
+        # whole history (this raised while the policy was read map by map)
+        generated_by_none = CollectionQuery(((History.parse("o0 a0 s00 a1 s01"), first),))
+        assert collection_prob(mu, generated_by_none, 2) == 0
+        # nor any policy while some other paired history is generated by no map
+        assert collection_prob(mu, CollectionQuery(reached.pairs + unreached.pairs), 2) == 0
 
     def test_zero_turns_rejected(self, mu):
         query = CollectionQuery(((History.parse("o0"), const(mu, 1, "a0")),))
