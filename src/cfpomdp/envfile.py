@@ -129,4 +129,4 @@ def load_env(path: str | Path, validate_result: bool = True) -> Pomdp:
 
 
 def save_env(path: str | Path, p: Pomdp) -> None:
-    Path(path).write_text(serialize_env(p))
+    Path(path).write_text(serialize_env(p), encoding="utf-8")

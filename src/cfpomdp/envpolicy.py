@@ -95,53 +95,63 @@ class EnvironmentPolicy:
         return f"init {self.init_state} | trans {trans or '-'} | obs {obs or '-'}"
 
 
-def _product(rows, weight: Rat = _ONE) -> list[tuple[tuple, Rat]]:
+def _product(rows) -> list[tuple[tuple, Rat]]:
     """Every choice of one (item, weight) per row, weighted by their product;
     the first row varies slowest."""
-    out = [((), weight)]
+    out = [((), _ONE)]
     for row in rows:
         out = [(xs + (x,), w if v == 1 else w * v) for xs, w in out for x, v in row]
     return out
 
 
-def _iter_support(p: Pomdp, m: int, t: int = 0, visited: tuple[str, ...] | None = None,
-                  mass: Rat = _ONE, init: str = "", trans: tuple = (), obs: tuple = ()):
-    """Depth-first enumeration of reduced environment policies with their
-    aggregated probabilities, in canonical declaration order.
+class _Turns(dict):
+    """One call's turn table, which fixes the canonical order: a missing
+    (turn t, states visited at t in declared order) reads their rows once,
+    observations first, into the `_product` of observation picks ((s, t), o)
+    and, before turn m and only if every state has one, of successor picks
+    ((s, a, t + 1), s2) on visited x actions, each with the sorted states it
+    visits.  Like `_TreeMemo` it makes no reference cycle."""
 
-    Called as `_iter_support(p, m)`, it recurses on each initial state; a
-    deeper call is at turn t, with the states `visited` at t in declared
-    order and the mass and choices so far.  The orders are `_product`'s,
-    as in `_behaviors`: the observation choice on the visited states varies
-    slowest, then the successor choice on visited x actions.
-    """
-    if visited is None:
+    def __init__(self, p: Pomdp, m: int):
         if m < 1:
             raise InputError(f"turn count must be >= 1, got {m}")
-        for s0, w0 in p.init.entries:
-            if w0 > 0:
-                yield from _iter_support(p, m, 0, (s0,), w0, s0)
-        return
-    obs_rows = [[(((s, t), o), w) for o, w in p.obs_dist(s).entries if w > 0] for s in visited]
-    for seen, w in _product(obs_rows, mass):
-        if t == m:
-            yield EnvironmentPolicy(init, trans, obs + seen, m), w
-            continue
-        rows = [[(((s, a, t + 1), s2), v) for s2, v in p.trans_dist(s, a).entries if v > 0]
-                for s in visited for a in p.actions]
-        for moves, v in _product(rows, w):
-            nxt = tuple(sorted({s2 for _, s2 in moves}, key=p.state_index.__getitem__))
-            yield from _iter_support(p, m, t + 1, nxt, v, init, trans + moves, obs + seen)
+        self.p, self.m = p, m
+
+    def __missing__(self, key: tuple[int, tuple[str, ...]]) -> tuple[list, list]:
+        t, visited = key
+        p = self.p
+        seen = _product([[(((s, t), o), w) for o, w in p.obs_dist(s).entries if w > 0]
+                         for s in visited])
+        moves = [] if t == self.m or not seen else [
+            (ms, v, tuple(sorted({s2 for _, s2 in ms}, key=p.state_index.__getitem__)))
+            for ms, v in _product([[(((s, a, t + 1), s2), v) for s2, v in p.trans_dist(s, a).entries
+                                    if v > 0] for s in visited for a in p.actions])]
+        return self.setdefault(key, (seen, moves))
+
+    def walk(self, t: int, visited: tuple[str, ...], mass: Rat, init: str, trans: tuple, obs: tuple):
+        """`_iter_support` below one key, reached with this mass and these choices."""
+        seen_picks, moves = self[t, visited]
+        for seen, w in seen_picks:
+            w = mass if w == 1 else mass * w
+            if t == self.m:
+                yield EnvironmentPolicy(init, trans, obs + seen, t), w
+            for ms, v, nxt in moves:
+                yield from self.walk(t + 1, nxt, w if v == 1 else w * v, init, trans + ms, obs + seen)
+
+
+def _iter_support(p: Pomdp, m: int):
+    """Depth-first enumeration of reduced environment policies with their
+    aggregated probabilities, in canonical order: initial state first."""
+    turns = _Turns(p, m)
+    for s0, w0 in p.init.entries:
+        if w0 > 0:
+            yield from turns.walk(0, (s0,), w0, s0, (), ())
 
 
 def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], ...]:
     """All reduced environment policies of positive probability, with their
-    aggregated probabilities.  Probabilities are strictly positive and sum
-    to exactly 1.  The order is `_product`'s, shared with `_behaviors` and
-    so with the deterministic twin's initial states: by initial state, then
-    turn by turn the observation choice on the visited states, then the
-    successor choice on visited states x actions.
-
+    aggregated probabilities, which are positive and sum to exactly 1, in
+    the canonical order, which the deterministic twin's initial states share.
     Each call recomputes the support: nothing is cached.  Its callers are
     `env_policy_posterior` and `env-policies`, whose output is per resolution."""
     return tuple(_iter_support(p, m))
@@ -153,17 +163,12 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
     node is (label(s, o), child ids in declared action order), s a state and
     o its observation; nodes at turn m have no children.
 
-    No resolution is enumerated: F(t, V), memoized over the turn t and the
-    states V visited at t, is a distribution over tuples of node ids, one
-    per state of V, built in the `_product` order that `_iter_support`
-    also follows: the observation choice on V varies slowest, then each
-    choice of successors on V x actions against F(t + 1, V').  With label
+    No resolution is enumerated: F(t, V), memoized over `_Turns`' keys, is a
+    distribution over tuples of node ids, one per state of V.  With label
     (s, o), which fixes the resolution, the roots are `enumerate_support`'s,
-    in its order and with its masses.  Rows are read in the same order, so
-    a missing one raises alike.
+    in its order and with its masses.
     """
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
+    turns = _Turns(p, m)
     n = len(p.actions)
     ids: dict[tuple, int] = {}
     memo: dict[tuple, dict[tuple[int, ...], Rat]] = {}
@@ -171,24 +176,19 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
     def dist(t: int, visited: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
         if (t, visited) in memo:
             return memo[t, visited]
-        obs_rows = [[(label(s, o), w) for o, w in p.obs_dist(s).entries if w > 0] for s in visited]
+        seen_picks, moves = turns[t, visited]
         children = {((),) * len(visited): _ONE} if t == m else {}
-        if t < m and all(obs_rows):
-            rows = [[e for e in p.trans_dist(s, a).entries if e[1] > 0]
-                    for s in visited for a in p.actions]
-            for succ, weight in _product(rows):
-                nxt = tuple(sorted(set(succ), key=p.state_index.__getitem__))
-                child_at = [[nxt.index(s2) for s2 in succ[i:i + n]] for i in range(0, len(succ), n)]
-                for key, mass in dist(t + 1, nxt).items():
-                    vec = tuple(tuple(key[k] for k in row) for row in child_at)
-                    children[vec] = children.get(vec, _ZERO) + weight * mass
-        # one list per successor choice, each in observation-choice order
-        per_vec = [_product([[(ids.setdefault((lab, kids), len(ids)), w) for lab, w in row]
-                             for row, kids in zip(obs_rows, vec)], mass)
-                   for vec, mass in children.items()]
+        for ms, weight, nxt in moves:
+            child_at = [[nxt.index(s2) for _, s2 in ms[i:i + n]] for i in range(0, len(ms), n)]
+            for key, mass in dist(t + 1, nxt).items():
+                vec = tuple(tuple(key[k] for k in row) for row in child_at)
+                children[vec] = children.get(vec, _ZERO) + weight * mass
         out = memo[t, visited] = {}
-        for picks in zip(*per_vec):  # the observation choice outermost
-            out.update(picks)
+        for seen, w in seen_picks:
+            for vec, mass in children.items():
+                key = tuple([ids.setdefault((label(s, o), kids), len(ids))
+                             for ((s, _), o), kids in zip(seen, vec)])
+                out[key] = mass if w == 1 else w * mass
         return out
 
     roots: dict[int, Rat] = {}

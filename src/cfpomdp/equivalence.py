@@ -284,10 +284,10 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
         p.check_history_symbols(h)
-    slot = {a: i for i, a in enumerate(sorted(p.actions))}  # the trees' child order
-    total = sum((mass for bm, mass in behavior_distribution(p, m).items()
-                 if all(_generates(h, bm.tree, lambda node, _: node[0],
-                                   lambda node, a, _: node[1][slot[a]]) for h, _ in q.pairs)),
+    nodes, roots = _behaviors(p, m, lambda s, o: o)
+    total = sum((mass for root, mass in roots.items()
+                 if all(_generates(h, root, lambda i, _: nodes[i][0],
+                                   lambda i, a, _: nodes[i][1][p.action_index[a]]) for h, _ in q.pairs)),
                 _ZERO)
     for h, pi in q.pairs:
         if total == 0:

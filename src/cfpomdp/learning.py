@@ -182,4 +182,4 @@ def load_weights(path: str | Path) -> dict[str, Rat]:
 def save_weights(path: str | Path, weights) -> None:
     items = weights.items() if hasattr(weights, "items") else weights
     lines = [f"{s} {w}" for s, w in items]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

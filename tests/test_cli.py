@@ -1,9 +1,15 @@
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from cfpomdp import corpus_path, load_env, parse_rational
+import cfpomdp
+from cfpomdp import corpus_path, load_env, load_weights, parse_rational
 from cfpomdp.cli import main
 
 MU = str(corpus_path("mu"))
@@ -260,6 +266,33 @@ class TestLearnCommands:
             "--weights", str(weights), "-o", str(out),
         )
         assert result.exit_code == 2
+
+
+class TestNonAsciiFiles:
+    def test_written_as_utf8_under_c_locale(self, tmp_path):
+        # files are read as UTF-8 whatever the locale, so they are written so
+        mu = tmp_path / "mu.env"
+        mu.write_text(re.sub(r"\bs0\b", "sé", Path(MU).read_text()), encoding="utf-8")
+        weights = tmp_path / "w.txt"
+        weights.write_text("s0^00 1/3\ns0^01 0\ns0^10 1\ns0^11 2/5\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(cfpomdp.__file__).parents[1])}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "cfpomdp", *args], env=env,
+                                  capture_output=True, text=True, encoding="utf-8")
+
+        det, moved = tmp_path / "det.env", tmp_path / "moved.txt"
+        done = run("determinize", str(mu), "--m", "1", "-o", str(det))
+        assert done.returncode == 0, done.stderr
+        assert "sé@0" in " ".join(load_env(det).states)
+        done = run("learn-transfer", MU_STAR, str(det), "--m", "1",
+                   "--weights", str(weights), "-o", str(moved), "--verify")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "universality: verified"
+        moved_weights = load_weights(moved)
+        assert set(moved_weights) == set(load_env(det).init.support)
+        assert sorted(moved_weights.values()) == [0, Fraction(1, 3), Fraction(2, 5), 1]
 
 
 class TestSimulateCommand:

@@ -27,6 +27,7 @@ from cfpomdp import (
     simulate,
 )
 from cfpomdp.determinize import behavior_partition
+from cfpomdp.envpolicy import _behaviors
 
 from helpers import (
     brute_check_equiv,
@@ -694,7 +695,8 @@ def test_queried_environment_is_freed():
 
 @pytest.mark.parametrize(
     "name",
-    ["check_cf_equiv", "determinize", "simulate", "enumerate_support", "env_policy_posterior"],
+    ["check_cf_equiv", "determinize", "simulate", "enumerate_support", "env_policy_posterior",
+     "collection_prob", "behavior_distribution"],
 )
 def test_public_call_leaves_no_cycles(name, mu, mu_double_prime):
     # memos and self-referring closures are freed by reference counting,
@@ -707,6 +709,9 @@ def test_public_call_leaves_no_cycles(name, mu, mu_double_prime):
         "simulate": lambda: simulate(mu, 2, [pi], 10, 1),
         "enumerate_support": lambda: enumerate_support(mu_double_prime, 2),
         "env_policy_posterior": lambda: env_policy_posterior(mu, h, pi.as_stochastic(), 2),
+        "collection_prob": lambda: collection_prob(
+            mu, CollectionQuery(((h, pi.as_stochastic()),)), 2),
+        "behavior_distribution": lambda: behavior_distribution(mu_double_prime, 2),
     }
     gc.collect()
     gc.disable()
@@ -715,3 +720,24 @@ def test_public_call_leaves_no_cycles(name, mu, mu_double_prime):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_enumeration_reads_each_row_once_per_turn(monkeypatch):
+    # both resolution engines read one turn table: enumeration reads no more
+    # rows than the behavior DP, not one set per node of its walk
+    reads = []
+
+    def counted(read):
+        def counting(self, *key):
+            reads.append(key)
+            return read(self, *key)
+        return counting
+
+    for name in ("obs_dist", "trans_dist"):
+        monkeypatch.setattr(Pomdp, name, counted(getattr(Pomdp, name)))
+    p = aliased_env()
+    enumerate_support(p, 3)
+    enumerated = len(reads)
+    reads.clear()
+    _behaviors(p, 3, lambda s, o: o)
+    assert 0 < enumerated <= len(reads)
