@@ -23,11 +23,13 @@ history's probability is its policy's factor along it
 collection's joint probability is the mass of the maps generating every
 paired history times the policies' factors, and the behavior-map
 distribution determines it; conversely the distribution is recovered from
-collections that pin down a full behavior map.  Both
-`behavior_distribution` and `collection_prob` work from that distribution,
-which `envpolicy._behaviors`, a dynamic program over (turn, visited states),
-builds without enumerating resolutions; labelled by observation, its nodes
-are the behavior maps.
+collections that pin down a full behavior map.  `behavior_distribution`
+builds that distribution with `envpolicy._behaviors`, a dynamic program over
+(turn, visited states) that enumerates no resolution and whose nodes,
+labelled by observation, are the behavior maps.  `collection_prob` needs
+only the few histories it is asked about: agents with one prefix share a
+state, so one forward pass over assignments {distinct prefix: state}
+(`_coupled_weight`) gives the mass without building any map.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .core import (
     Rat,
     StochasticPolicy,
 )
-from .envpolicy import BehaviorMap, _behaviors, _generates
+from .envpolicy import BehaviorMap, _behaviors, _product
 from .errors import InputError, SimilarityError
 from .trajectory import _policy_factor
 
@@ -195,8 +197,16 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
     def scaled(entries) -> list:
         return [(x, w.numerator * (scale // w.denominator)) for x, w in entries if w > 0]
 
-    def obs(i: tuple[int, str]) -> list:
-        return scaled(envs[i[0]].obs_dist(i[1]).entries)
+    memo: dict[tuple, list] = {}
+
+    def row(side: int, s: str, a: str | None = None) -> list:
+        """One side's observation row at s (a None) or transition row at
+        (s, a), read and scaled once per call."""
+        key = side, s, a
+        if key not in memo:
+            p = envs[side]
+            memo[key] = scaled((p.obs_dist(s) if a is None else p.trans_dist(s, a)).entries)
+        return memo[key]
 
     def children(v: dict) -> dict[tuple[str, str], dict]:
         """v·M_{a,o} for each (a, o) where it is not zero."""
@@ -204,18 +214,18 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
         for a in p1.actions:
             moved: dict = {}
             for (side, s), x in v.items():
-                for s2, w in scaled(envs[side].trans_dist(s, a).entries):
+                for s2, w in row(side, s, a):
                     moved[side, s2] = moved.get((side, s2), 0) + x * w
             for j, x in moved.items():
                 if x:
-                    for o, w in obs(j):
+                    for o, w in row(*j):
                         out.setdefault((a, o), {})[j] = x * w
         return out
 
     start: dict[str, dict] = {}
     for side in (0, 1):
         for s, w in scaled(starts[side]):
-            for o, wo in obs((side, s)):
+            for o, wo in row(side, s):
                 start.setdefault(o, {})[side, s] = w * wo
     bases = [_span(start.values())]  # F_0 .. F_failing
     while not any(_signed(b) for b in bases[-1]):
@@ -227,8 +237,8 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
     reached = dict.fromkeys(j for b in bases[-1] for j in b)
     for _ in range(failing, m):
         moved = dict.fromkeys((side, s2) for side, s in reached for a in p1.actions
-                              for s2, _ in scaled(envs[side].trans_dist(s, a).entries))
-        reached = {j: None for j in moved if obs(j)}
+                              for s2, _ in row(side, s, a))
+        reached = {j: None for j in moved if row(*j)}
 
     # back[j] spans R_{failing - j} on F_j
     back = [[_on_pivots(bases[failing], dict(enumerate(map(_signed, bases[failing]))))]]
@@ -276,19 +286,81 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     )
 
 
+def _rows_within(p: Pomdp, m: int) -> tuple[dict, dict]:
+    """The positive entries of every row that a horizon-m resolution reads,
+    as {s: {o: w}} and {(s, a): [(s2, w)]}, so a missing one raises: the
+    observation rows of the states reached at turns 0..m and, before turn m,
+    the transition rows of those with an observation.  The sweep over
+    reached sets makes O(m·|S|·|A|) row reads."""
+    obs: dict[str, dict[str, Rat]] = {}
+    trans: dict[tuple[str, str], list] = {}
+    reached = [s for s, w in p.init.entries if w > 0]
+    for t in range(m + 1):
+        obs.update((s, {o: w for o, w in p.obs_dist(s).entries if w > 0}) for s in reached)
+        if t < m:
+            reached = [s for s in reached if obs[s]]
+            trans.update(((s, a), [(s2, w) for s2, w in p.trans_dist(s, a).entries if w > 0])
+                         for s in reached for a in p.actions)
+            reached = dict.fromkeys(s2 for s in reached for a in p.actions for s2, _ in trans[s, a])
+    return obs, trans
+
+
+def _coupled_weight(p: Pomdp, histories: list[History], m: int) -> Rat:
+    """Probability that one resolution generates every history: one forward
+    pass over assignments {distinct prefix: state}, held as tuples of states
+    in the order of the turn's distinct prefixes.  Agents sharing a prefix
+    share a state; each turn, each distinct (state, action) draws one
+    successor and each distinct arrival state one observation, so arrivals
+    at one state expecting different observations cut the branch.  An agent
+    whose history has ended constrains nothing further: its choices sum out
+    to 1.  At most |S|^k assignments per turn for k distinct prefixes."""
+    obs, trans = _rows_within(p, m)
+    o0 = histories[0].initial_obs
+    if any(h.initial_obs != o0 for h in histories):
+        return _ZERO
+    level = {(s,): w * obs[s][o0] for s, w in p.init.entries if w > 0 and o0 in obs[s]}
+    prefixes: dict[tuple, int] = {(): 0}
+    for t in range(1, max(h.length for h in histories) + 1):
+        turn = dict.fromkeys(h.steps[:t] for h in histories if h.length >= t)
+        # each distinct prefix as (its parent's position, action, observation)
+        steps = [(prefixes[k[:-1]], *k[-1]) for k in turn]
+        out: dict[tuple[str, ...], Rat] = {}
+        for states, mass in level.items():
+            # every agent leaving one (state, action) makes the same observation
+            draws: dict[tuple[str, str], str] = {}
+            if any(draws.setdefault((states[i], a), o) != o for i, a, o in steps):
+                continue
+            slot = {d: j for j, d in enumerate(draws)}
+            slots = [slot[states[i], a] for i, a, _ in steps]
+            rows = [[(s2, v) for s2, v in trans[d] if o in obs[s2]] for d, o in draws.items()]
+            for picks, v in _product(rows):
+                seen: dict[str, str] = {}
+                if any(seen.setdefault(s2, o) != o for s2, o in zip(picks, draws.values())):
+                    continue
+                w = mass if v == 1 else mass * v
+                for s2, o in seen.items():
+                    x = obs[s2][o]
+                    w = w if x == 1 else w * x
+                arrivals = tuple(picks[j] for j in slots)
+                out[arrivals] = out.get(arrivals, _ZERO) + w
+        level = out
+        prefixes = {k: i for i, k in enumerate(turn)}
+    return sum(level.values(), _ZERO)
+
+
 def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     """Joint probability that agents sharing one resolution each see their
-    paired history: the mass of the behavior maps whose trees generate every
-    paired history, times the policies' factors, read only if it is positive."""
+    paired history: the probability that a resolution generates every paired
+    history (`_coupled_weight`, linear in m for a fixed collection), times
+    the policies' factors, read only if it is positive.  Every row that a
+    horizon-m resolution reads must exist."""
     for h, _ in q.pairs:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
         p.check_history_symbols(h)
-    nodes, roots = _behaviors(p, m, lambda s, o: o)
-    total = sum((mass for root, mass in roots.items()
-                 if all(_generates(h, root, lambda i, _: nodes[i][0],
-                                   lambda i, a, _: nodes[i][1][p.action_index[a]]) for h, _ in q.pairs)),
-                _ZERO)
+    if m < 1:
+        raise InputError(f"turn count must be >= 1, got {m}")
+    total = _coupled_weight(p, [h for h, _ in q.pairs], m)
     for h, pi in q.pairs:
         if total == 0:
             break

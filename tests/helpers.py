@@ -22,6 +22,8 @@ from cfpomdp import (
 from cfpomdp.core import history_sort_key
 from cfpomdp.envpolicy import (
     EnvironmentPolicy,
+    _behaviors,
+    _generates,
     _iter_support,
     behavior_map,
     behavior_tree,
@@ -29,6 +31,7 @@ from cfpomdp.envpolicy import (
     history_prob_given_ep,
 )
 from cfpomdp.errors import InputError
+from cfpomdp.trajectory import _policy_factor
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -223,20 +226,42 @@ def resolution_behavior_distribution(p: Pomdp, m: int) -> dict:
     return out
 
 
-def resolution_collection_prob(p: Pomdp, q, m: int) -> Fraction:
-    """Sum over the reduced support of the resolution probability times the
-    product of the per-agent `history_prob_given_ep` values."""
+def resolution_collection_prob(p: Pomdp, q, m: int, support=None) -> Fraction:
+    """Sum over the reduced support (`enumerate_support(p, m)` unless given)
+    of the resolution probability times the product of the per-agent
+    `history_prob_given_ep` values."""
     for h, _ in q.pairs:
         if h.length > m:
             raise ValueError(f"history {h} longer than the horizon {m}")
     total = ZERO
-    for ep, prior in enumerate_support(p, m):
+    for ep, prior in enumerate_support(p, m) if support is None else support:
         term = prior
         for h, pi in q.pairs:
             term *= history_prob_given_ep(p, h, ep, pi)
             if term == 0:
                 break
         total += term
+    return total
+
+
+def behavior_collection_prob(p: Pomdp, q, m: int, table=None) -> Fraction:
+    """The mass of the behavior maps whose trees generate every paired
+    history, times the policies' factors, read only if it is positive: a sum
+    over the roots of the whole behavior DP (`_behaviors(p, m, label by
+    observation)` unless given as `table`), exponential in m."""
+    for h, _ in q.pairs:
+        if h.length > m:
+            raise InputError(f"history {h} longer than the horizon {m} of the query")
+        p.check_history_symbols(h)
+    nodes, roots = _behaviors(p, m, lambda s, o: o) if table is None else table
+    total = sum((mass for root, mass in roots.items()
+                 if all(_generates(h, root, lambda i, _: nodes[i][0],
+                                   lambda i, a, _: nodes[i][1][p.action_index[a]]) for h, _ in q.pairs)),
+                ZERO)
+    for h, pi in q.pairs:
+        if total == 0:
+            break
+        total *= _policy_factor(h, pi)
     return total
 
 

@@ -26,10 +26,13 @@ from cfpomdp import (
     minimize,
     simulate,
 )
+from cfpomdp import equivalence
 from cfpomdp.determinize import behavior_partition
 from cfpomdp.envpolicy import _behaviors
+from cfpomdp.equivalence import _witness_query
 
 from helpers import (
+    behavior_collection_prob,
     brute_check_equiv,
     brute_collection_prob,
     random_cf_env,
@@ -597,6 +600,13 @@ class TestBehaviorDistributionOracle:
         assert check_cf_equiv(p, relabel_states(split_initial_state(p)), 4).equivalent
 
 
+def oracle_cases(cf_envs):
+    """(environment, horizon, support, behavior DP) for the collection
+    oracles: every random environment at m = 1..3 and the aliased one at 3."""
+    for p, m in [(p, m) for p in cf_envs for m in (1, 2, 3)] + [(aliased_env(), 3)]:
+        yield p, m, enumerate_support(p, m), _behaviors(p, m, lambda s, o: o)
+
+
 class TestCollectionProbOracle:
     def test_matches_resolution_sum(self, cf_envs):
         # and the unreduced sum, on the environments small enough for it
@@ -612,6 +622,46 @@ class TestCollectionProbOracle:
                         assert value == brute_collection_prob(p, q.pairs, m)
                     values.add(value == 0)
         assert values == {True, False}  # impossible and possible collections
+
+    def test_matches_both_oracles(self, cf_envs):
+        # random queries and the full-tree witness query of each map, which
+        # re-evaluates to the map's mass; both oracles pay per query, the DP
+        # oracle per map and the resolution sum per resolution, so beyond
+        # 250 maps a seeded sample of 24 stands for them, and the resolution
+        # sum checks a seeded sample of 8 queries per case
+        rng = random.Random(2024)
+        checked = 0
+        for p, m, support, table in oracle_cases(cf_envs):
+            maps = list(behavior_distribution(p, m).items())
+            if len(maps) > 250:
+                maps = rng.sample(maps, 24)
+            queries = [(q, None) for q in random_queries(p, m, rng)]
+            queries += [(_witness_query(bm), mass) for bm, mass in maps]
+            for q, mass in queries:
+                value = collection_prob(p, q, m)
+                assert isinstance(value, Fraction)
+                assert value == behavior_collection_prob(p, q, m, table), (p, m, q)
+                assert mass is None or value == mass
+                checked += 1
+            for q, _ in rng.sample(queries, min(8, len(queries))):
+                assert collection_prob(p, q, m) == resolution_collection_prob(p, q, m, support)
+        assert checked > 1000
+
+    def test_long_horizon_without_the_behavior_dp(self, monkeypatch):
+        def unavailable(*args):
+            raise AssertionError("the behavior DP was built")
+
+        monkeypatch.setattr(equivalence, "_behaviors", unavailable)
+        p = aliased_env()
+        h = History.parse("y" + " a0 x" * 40)
+        pi = DeterministicPolicy.script(h).as_stochastic()
+        value = collection_prob(p, CollectionQuery(((h, pi),)), 40)
+        assert value == history_prob(p, h, pi) > 0
+        # both agents leave s0 by a0 on one shared draw: s1 shows x, s0 shows y
+        pairs = [(History.parse(text), const(p, 1, "a0")) for text in ("y a0 x", "y a0 y")]
+        for pair in pairs:
+            assert collection_prob(p, CollectionQuery((pair,)), 40) == Fraction(1, 2)
+        assert collection_prob(p, CollectionQuery(tuple(pairs)), 40) == 0
 
 
 class TestCfGuards:
