@@ -43,10 +43,15 @@ from .simulate import simulate as run_simulation
 from .trajectory import initial_posterior
 
 
-def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
+def _policy_from_spec(
+    spec: str, env: Pomdp, m: int, along: History | None = None
+) -> DeterministicPolicy:
     """A policy argument is an action id (constant policy), an inline
     ``history -> action`` table with ',' between entries, or ``@file`` with
-    one such entry per line; empty text (a length-0 witness) is the empty table."""
+    one such entry per line; empty text (a length-0 witness) is the empty table.
+    Given `along`, the history a pair's policy is read on, a constant policy
+    is tabled on along's prefixes alone: the pair's factor reads no other
+    decision point, and the reachable ones are exponentially many in m."""
     spec = spec.strip()
     if not spec:
         return DeterministicPolicy(())
@@ -59,7 +64,9 @@ def _policy_from_spec(spec: str, env: Pomdp, m: int) -> DeterministicPolicy:
     else:
         if spec not in env.action_index:
             raise InputError(f"unknown action {spec!r} for constant policy")
-        return DeterministicPolicy.constant(env, m, spec)
+        if along is None:
+            return DeterministicPolicy.constant(env, m, spec)
+        return DeterministicPolicy(tuple((along.prefix(t), spec) for t in range(along.length)))
     decisions = []
     for entry in entries:
         if "->" not in entry:
@@ -242,7 +249,7 @@ def collection_prob_cmd(file, m, pairs):
             raise InputError(f"pair needs 'HISTORY ; POLICY', got {pair!r}")
         hist_text, policy_text = pair.split(";", 1)
         h = History.parse(hist_text.strip())
-        pi = _policy_from_spec(policy_text.strip(), p, m)
+        pi = _policy_from_spec(policy_text.strip(), p, m, along=h)
         parsed.append((h, pi.as_stochastic()))
     value = collection_prob(p, CollectionQuery(tuple(parsed)), m)
     click.echo(str(value))

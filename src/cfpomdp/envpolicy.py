@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import itemgetter
 
 from .core import (
     DeterministicPolicy,
@@ -157,6 +159,12 @@ def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], 
     return tuple(_iter_support(p, m))
 
 
+def _over(weights) -> tuple[int, list[int]]:
+    """Exact weights as integers over one denominator, the lcm of theirs."""
+    den = lcm(*(w.denominator for w in weights))
+    return den, [w.numerator * (den // w.denominator) for w in weights]
+
+
 def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
     """The reduced resolutions' behaviors as one table of interned nodes, as
     in a reduced BDD: returns the nodes in id order and {root id: mass}.  A
@@ -164,40 +172,60 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
     o its observation; nodes at turn m have no children.
 
     No resolution is enumerated: F(t, V), memoized over `_Turns`' keys, is a
-    distribution over tuples of node ids, one per state of V.  With label
-    (s, o), which fixes the resolution, the roots are `enumerate_support`'s,
-    in its order and with its masses.
+    distribution over tuples of node ids, one per state of V, held as
+    (den, {ids: integer mass}).  Each key's observation picks and successor
+    picks are scaled once, each kind over its lcm denominator (`_over`), and
+    children of several successor sets are brought to the lcm of theirs, so
+    a `Fraction` is built once per root.  With label (s, o), which fixes the
+    resolution, the roots are `enumerate_support`'s, in its order and with
+    its masses.
     """
     turns = _Turns(p, m)
     n = len(p.actions)
     ids: dict[tuple, int] = {}
-    memo: dict[tuple, dict[tuple[int, ...], Rat]] = {}
+    memo: dict[tuple, tuple[int, dict[tuple[int, ...], int]]] = {}
 
-    def dist(t: int, visited: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+    def dist(t: int, visited: tuple[str, ...]) -> tuple[int, dict[tuple[int, ...], int]]:
         if (t, visited) in memo:
             return memo[t, visited]
         seen_picks, moves = turns[t, visited]
-        children = {((),) * len(visited): _ONE} if t == m else {}
-        for ms, weight, nxt in moves:
-            child_at = [[nxt.index(s2) for _, s2 in ms[i:i + n]] for i in range(0, len(ms), n)]
-            for key, mass in dist(t + 1, nxt).items():
-                vec = tuple(tuple(key[k] for k in row) for row in child_at)
-                children[vec] = children.get(vec, _ZERO) + weight * mass
-        out = memo[t, visited] = {}
-        for seen, w in seen_picks:
+        den, children = 1, ({((),) * len(visited): 1} if t == m else {})
+        if moves:
+            below = [dist(t + 1, nxt) for _, _, nxt in moves]
+            common = lcm(*(d for d, _ in below))
+            den, weights = _over([v for _, v, _ in moves])
+            den *= common
+            for (ms, _, nxt), weight, (d, sub) in zip(moves, weights, below):
+                weight *= common // d
+                at = [nxt.index(s2) for _, s2 in ms]
+                # per state of V, its children's positions in nxt: a tuple even for one action
+                rows = [itemgetter(*at[i:i + n]) if n > 1 else itemgetter(slice(at[i], at[i] + 1))
+                        for i in range(0, len(at), n)]
+                for key, mass in sub.items():
+                    vec = tuple([row(key) for row in rows])
+                    children[vec] = children.get(vec, 0) + weight * mass
+        d_seen, weights = _over([w for _, w in seen_picks])
+        out = {}
+        for (seen, _), w in zip(seen_picks, weights):
             for vec, mass in children.items():
                 key = tuple([ids.setdefault((label(s, o), kids), len(ids))
                              for ((s, _), o), kids in zip(seen, vec)])
-                out[key] = mass if w == 1 else w * mass
-        return out
+                out[key] = w * mass
+        memo[t, visited] = d_seen * den, out
+        return memo[t, visited]
 
-    roots: dict[int, Rat] = {}
-    for s0, w0 in p.init.entries:
-        if w0 > 0:
-            for (root,), mass in dist(0, (s0,)).items():
-                roots[root] = roots.get(root, _ZERO) + w0 * mass
+    starts = [(s0, w0) for s0, w0 in p.init.entries if w0 > 0]
+    below = [dist(0, (s0,)) for s0, _ in starts]
+    common = lcm(*(d for d, _ in below))
+    den, weights = _over([w0 for _, w0 in starts])
+    masses: dict[int, int] = {}
+    for w0, (d, sub) in zip(weights, below):
+        w0 *= common // d
+        for (root,), mass in sub.items():
+            masses[root] = masses.get(root, 0) + w0 * mass
     del dist  # it refers to itself: break the cycle so its memo dies here
-    return list(ids), roots
+    den *= common
+    return list(ids), {root: Fraction(mass, den) for root, mass in masses.items()}
 
 
 def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
@@ -258,12 +286,11 @@ def env_policy_posterior(
         raise InputError(f"posterior horizon {m} shorter than history ({h.length})")
     support = enumerate_support(p, m)
     p.check_history_symbols(h)
-    joint = [prior if _generates(h, ep.init_state, ep.obs_at, ep.next_state) else _ZERO
-             for ep, prior in support]
-    total = sum(joint, _ZERO)
+    generating = [_generates(h, ep.init_state, ep.obs_at, ep.next_state) for ep, _ in support]
+    total = sum((prior for (_, prior), g in zip(support, generating) if g), _ZERO)
     if total == 0 or _policy_factor(h, pi) == 0:
         return {ep: _ZERO for ep, _ in support}
-    return {ep: w / total for (ep, _), w in zip(support, joint)}
+    return {ep: prior / total if g else _ZERO for (ep, prior), g in zip(support, generating)}
 
 
 class _TreeMemo(dict):

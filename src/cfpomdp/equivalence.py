@@ -16,20 +16,23 @@ starts from any (state, weight) vectors, so `learning` runs the same
 comparison from weighted initial distributions.
 
 m-counterfactual equivalence: joint probabilities over a shared resolution
-agree for every finite collection of (history, policy) pairs.  Decided by
-comparing the full distributions over behavior maps: under one map a
-history's probability is its policy's factor along it
+agree for every finite collection of (history, policy) pairs.  Under one
+behavior map a history's probability is its policy's factor along it
 (`trajectory._policy_factor`) if the map generates it, else 0, so a
 collection's joint probability is the mass of the maps generating every
 paired history times the policies' factors, and the behavior-map
 distribution determines it; conversely the distribution is recovered from
-collections that pin down a full behavior map.  `behavior_distribution`
-builds that distribution with `envpolicy._behaviors`, a dynamic program over
-(turn, visited states) that enumerates no resolution and whose nodes,
-labelled by observation, are the behavior maps.  `collection_prob` needs
-only the few histories it is asked about: agents with one prefix share a
-state, so one forward pass over assignments {distinct prefix: state}
-(`_coupled_weight`) gives the mass without building any map.
+collections that pin down a full behavior map.  So the verdict compares the
+two distributions.  `envpolicy._behaviors`, a dynamic program over (turn,
+visited states) on integer masses, enumerates no resolution; its nodes,
+labelled by observation, are the behavior maps.  `check_cf_equiv` interns
+both environments' nodes into one hash-consed table (`_interned`), where
+equal maps get equal ids, and compares {root id: mass}; trees are unfolded
+(`_trees`) only for the maps tied for the witness, and for every map by
+`behavior_distribution`.  `collection_prob` needs only the few histories it
+is asked about: agents with one prefix share a state, so one forward pass
+over assignments {distinct prefix: state} (`_coupled_weight`) gives the
+mass without building any map.
 """
 
 from __future__ import annotations
@@ -368,20 +371,48 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     return total
 
 
+def _interned(p: Pomdp, m: int, table: dict[tuple, int]) -> dict[int, Rat]:
+    """p's behavior maps as {root id: mass}: the nodes of `envpolicy._behaviors`,
+    labelled by observation, re-interned in id order into `table` with their
+    children in sorted action order, so that in one table equal maps share
+    one id, whichever environment and action order they come from."""
+    nodes, roots = _behaviors(p, m, lambda s, o: o)
+    slot = [p.actions.index(a) for a in sorted(p.actions)]
+    ids: list[int] = []
+    for o, kids in nodes:
+        key = o, tuple(ids[kids[j]] for j in slot) if kids else ()
+        ids.append(table.setdefault(key, len(table)))
+    return {ids[i]: mass for i, mass in roots.items()}
+
+
+def _trees(table: dict[tuple, int], wanted) -> dict[int, tuple]:
+    """The behavior trees of the ids `wanted` and of their descendants,
+    unfolded from an intern table, in which children precede parents."""
+    nodes = list(table)
+    need, stack = set(), list(wanted)
+    while stack:
+        i = stack.pop()
+        if i not in need:
+            need.add(i)
+            stack.extend(nodes[i][1])
+    trees: dict[int, tuple] = {}
+    for i in sorted(need):
+        o, kids = nodes[i]
+        trees[i] = o, tuple(trees[k] for k in kids)
+    return trees
+
+
 def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     """Pushforward of the resolution distribution through the behavior map;
     resolutions with identical maps merge.  Values sum to exactly 1.
 
-    No resolution is enumerated: the nodes of `envpolicy._behaviors`,
-    labelled by observation alone, are the interned maps, whose children
-    are put in sorted action order here.
+    No resolution is enumerated: the interned nodes of `_interned` are the
+    maps, unfolded into trees here.
     """
-    nodes, roots = _behaviors(p, m, lambda s, o: o)
+    table: dict[tuple, int] = {}
+    roots = _interned(p, m, table)
     actions = tuple(sorted(p.actions))
-    slot = [p.actions.index(a) for a in actions]
-    trees: list[tuple] = []
-    for o, kids in nodes:
-        trees.append((o, tuple(trees[kids[j]] for j in slot) if kids else ()))
+    trees = _trees(table, roots)
     return {BehaviorMap(actions, trees[i]): mass for i, mass in roots.items()}
 
 
@@ -398,30 +429,34 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     distributions; on failure, return a collection query whose joint
     probabilities are the two differing masses.
 
-    Among differing maps the witness prefers one that is impossible in one
-    environment (smallest minimum mass), breaking ties by behavior tree; the
-    returned query re-evaluates, via `collection_prob`, to exactly the two
-    reported values.
+    Both environments' maps are interned into one table (`_interned`), so
+    the distributions are equal exactly when {root id: mass} is, and no
+    tree is built for the verdict.  Among differing maps the witness
+    prefers one that is impossible in one environment (smallest minimum
+    mass), breaking ties by behavior tree, unfolded only for the maps tied
+    at that mass; the returned query re-evaluates, via `collection_prob`,
+    to exactly the two reported values.
     """
     ensure_similar(p1, p2)
-    d1 = behavior_distribution(p1, m)
-    d2 = behavior_distribution(p2, m)
-    if d1 == d2:
+    table: dict[tuple, int] = {}
+    r1 = _interned(p1, m, table)
+    r2 = _interned(p2, m, table)
+    if r1 == r2:
         return Verdict(equivalent=True)
-    differing = [
-        bm
-        for bm in set(d1) | set(d2)
-        if d1.get(bm, _ZERO) != d2.get(bm, _ZERO)
-    ]
-    bm = min(
-        differing,
-        key=lambda b: (min(d1.get(b, _ZERO), d2.get(b, _ZERO)), b.tree),
-    )
+    differing = {}
+    for i in r1.keys() | r2.keys():
+        masses = r1.get(i, _ZERO), r2.get(i, _ZERO)
+        if masses[0] != masses[1]:
+            differing[i] = masses
+    low = min(min(masses) for masses in differing.values())
+    tied = [i for i, masses in differing.items() if min(masses) == low]
+    trees = _trees(table, tied)
+    i = min(tied, key=trees.__getitem__)
     return Verdict(
         equivalent=False,
         witness=CollectionWitness(
-            query=_witness_query(bm),
-            value_left=d1.get(bm, _ZERO),
-            value_right=d2.get(bm, _ZERO),
+            query=_witness_query(BehaviorMap(tuple(sorted(p1.actions)), trees[i])),
+            value_left=differing[i][0],
+            value_right=differing[i][1],
         ),
     )

@@ -30,6 +30,13 @@ from cfpomdp.envpolicy import (
     enumerate_support,
     history_prob_given_ep,
 )
+from cfpomdp.equivalence import (
+    CollectionWitness,
+    Verdict,
+    _witness_query,
+    behavior_distribution,
+    ensure_similar,
+)
 from cfpomdp.errors import InputError
 from cfpomdp.trajectory import _policy_factor
 
@@ -263,6 +270,23 @@ def behavior_collection_prob(p: Pomdp, q, m: int, table=None) -> Fraction:
             break
         total *= _policy_factor(h, pi)
     return total
+
+
+def distribution_check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
+    """`check_cf_equiv` by comparing the two `behavior_distribution` dicts,
+    keyed by behavior map, with the same witness rule: among differing maps
+    the smallest minimum mass, ties broken by behavior tree."""
+    ensure_similar(p1, p2)
+    d1 = behavior_distribution(p1, m)
+    d2 = behavior_distribution(p2, m)
+    if d1 == d2:
+        return Verdict(equivalent=True)
+    differing = [bm for bm in set(d1) | set(d2) if d1.get(bm, ZERO) != d2.get(bm, ZERO)]
+    bm = min(differing, key=lambda b: (min(d1.get(b, ZERO), d2.get(b, ZERO)), b.tree))
+    return Verdict(
+        equivalent=False,
+        witness=CollectionWitness(_witness_query(bm), d1.get(bm, ZERO), d2.get(bm, ZERO)),
+    )
 
 
 def stage_support(p: Pomdp, m: int):
@@ -665,4 +689,21 @@ def tiny_three_state() -> Pomdp:
             "v": {"x": Fraction(1, 4), "y": Fraction(3, 4)},
             "w": {"y": Fraction(1)},
         },
+    )
+
+
+def aliased_env() -> Pomdp:
+    """Three states, two of them emitting the same observation."""
+    half = Fraction(1, 2)
+    return Pomdp.build(
+        ("s0", "s1", "s2"), ("a0", "a1"), ("x", "y", "z"), {"s0": 1},
+        {
+            ("s0", "a0"): {"s1": half, "s0": half},
+            ("s0", "a1"): {"s2": Fraction(5, 6), "s0": Fraction(1, 6)},
+            ("s1", "a0"): {"s2": half, "s0": half},
+            ("s1", "a1"): {"s2": Fraction(5, 9), "s1": Fraction(4, 9)},
+            ("s2", "a0"): {"s2": half, "s1": half},
+            ("s2", "a1"): {"s1": Fraction(3, 7), "s2": Fraction(4, 7)},
+        },
+        {"s0": {"y": 1}, "s1": {"x": 1}, "s2": {"x": 1}},
     )

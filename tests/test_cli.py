@@ -9,8 +9,20 @@ import pytest
 from click.testing import CliRunner
 
 import cfpomdp
-from cfpomdp import corpus_path, load_env, load_weights, parse_rational
+from cfpomdp import (
+    CollectionQuery,
+    DeterministicPolicy,
+    History,
+    collection_prob,
+    corpus_path,
+    load_env,
+    load_weights,
+    parse_rational,
+    save_env,
+)
 from cfpomdp.cli import main
+
+from helpers import aliased_env
 
 MU = str(corpus_path("mu"))
 MU_PRIME = str(corpus_path("mu-prime"))
@@ -362,6 +374,30 @@ class TestPolicyArguments:
         )
         assert result.exit_code == 2
 
+
+    def test_constant_policy_tabled_along_the_history(self, runner, tmp_path):
+        # a pair's factor reads its policy only on its history's prefixes, so
+        # the constant policy is not tabled on every reachable decision point
+        env = tmp_path / "aliased.env"
+        p = aliased_env()
+        save_env(env, p)
+        collections = [
+            [("y a0 x", "a0")],
+            [("y a0 x", "a0"), ("y a1 x", "a1")],
+            [("y a0 y a0 x", "a0"), ("y a1 x", "a1")],
+            [("y a0 y a1 x", "a1")],
+        ]
+        for m in range(2, 7):
+            for pairs in collections:
+                # the value with each policy tabled on every decision point
+                query = CollectionQuery(tuple(
+                    (History.parse(h), DeterministicPolicy.constant(p, m, a).as_stochastic())
+                    for h, a in pairs))
+                args = [arg for h, a in pairs for arg in ("--pair", f"{h} ; {a}")]
+                result = invoke(runner, "collection-prob", str(env), "--m", str(m), *args)
+                assert result.output.strip() == str(collection_prob(p, query, m))
+        result = invoke(runner, "collection-prob", str(env), "--m", "16", "--pair", "y a0 x ; a0")
+        assert result.output.strip() == "1/2"
 
     def test_history_named_twice_exit_two(self, runner):
         result = invoke(

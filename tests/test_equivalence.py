@@ -32,6 +32,8 @@ from cfpomdp.envpolicy import _behaviors
 from cfpomdp.equivalence import _witness_query
 
 from helpers import (
+    aliased_env,
+    distribution_check_cf_equiv,
     behavior_collection_prob,
     brute_check_equiv,
     brute_collection_prob,
@@ -159,23 +161,6 @@ def o0_odds_pair():
 
     return env({"u": Fraction(1, 2), "v": Fraction(1, 2)}), env(
         {"u": Fraction(1, 3), "v": Fraction(2, 3)}
-    )
-
-
-def aliased_env():
-    """Three states, two of them emitting the same observation."""
-    half = Fraction(1, 2)
-    return Pomdp.build(
-        ("s0", "s1", "s2"), ("a0", "a1"), ("x", "y", "z"), {"s0": 1},
-        {
-            ("s0", "a0"): {"s1": half, "s0": half},
-            ("s0", "a1"): {"s2": Fraction(5, 6), "s0": Fraction(1, 6)},
-            ("s1", "a0"): {"s2": half, "s0": half},
-            ("s1", "a1"): {"s2": Fraction(5, 9), "s1": Fraction(4, 9)},
-            ("s2", "a0"): {"s2": half, "s1": half},
-            ("s2", "a1"): {"s1": Fraction(3, 7), "s2": Fraction(4, 7)},
-        },
-        {"s0": {"y": 1}, "s1": {"x": 1}, "s2": {"x": 1}},
     )
 
 
@@ -662,6 +647,53 @@ class TestCollectionProbOracle:
         for pair in pairs:
             assert collection_prob(p, CollectionQuery((pair,)), 40) == Fraction(1, 2)
         assert collection_prob(p, CollectionQuery(tuple(pairs)), 40) == 0
+
+
+def cf_outcome(verdict):
+    """A verdict as (equivalent, witness histories, left value, right value)."""
+    w = verdict.witness
+    if w is None:
+        return verdict.equivalent, None, None, None
+    return verdict.equivalent, [h for h, _ in w.query.pairs], w.value_left, w.value_right
+
+
+class TestCheckCfEquivOracle:
+    def test_matches_distribution_comparison(self, cf_envs):
+        rng = random.Random(1871)
+        cases = [(aliased_env(), relabel_states(split_initial_state(aliased_env())), 3)]
+        for i, p in enumerate(cf_envs):
+            # m = 3 on the first 2-, 3- and 4-state environments
+            for m in (1, 2, 3) if i < 3 else (1, 2):
+                cases.append((p, relabel_states(split_initial_state(p)), m))
+                cases.append((p, perturb_one_row(p, rng), m))
+                cases.append((reversed_alphabets(p), p, m))
+                cases.append((reversed_alphabets(perturb_one_row(p, rng)), p, m))
+                # another random environment over the same actions
+                for q in cf_envs[i + 1:]:
+                    if set(q.actions) == set(p.actions):
+                        cases.append((p, q, m))
+                        break
+        inequivalent = 0
+        for p, q, m in cases:
+            for left, right in ((p, q), (q, p)):
+                got = check_cf_equiv(left, right, m)
+                assert cf_outcome(got) == cf_outcome(distribution_check_cf_equiv(left, right, m))
+                if not got.equivalent:
+                    inequivalent += 1
+                    w = got.witness
+                    assert isinstance(w.value_left, Fraction) and isinstance(w.value_right, Fraction)
+        assert inequivalent >= 50 and len(cases) * 2 - inequivalent >= 50
+
+    def test_equivalent_inputs_build_no_behavior_map(self, monkeypatch, mu, mu_prime):
+        def unavailable(*args):
+            raise AssertionError("a behavior map was built")
+
+        monkeypatch.setattr(equivalence, "BehaviorMap", unavailable)
+        monkeypatch.setattr(equivalence, "behavior_distribution", unavailable)
+        p = aliased_env()
+        assert check_cf_equiv(p, relabel_states(split_initial_state(p)), 3).equivalent
+        assert check_cf_equiv(reversed_alphabets(p), p, 3).equivalent
+        assert check_cf_equiv(mu, mu_prime, 2).equivalent
 
 
 class TestCfGuards:
