@@ -1,6 +1,9 @@
 """Construction of a deterministic, counterfactually equivalent environment,
 plus the behavior partition of deterministic environments and the quotient
-minimization it induces.
+minimization it induces.  The partition groups initial states by the id of
+their behavior in one intern table (`envpolicy._NodeIds`), so cells are
+found, and `minimize` and `learning.transfer` compare them, without
+unfolding a tree; `behavior_partition` unfolds only the maps it returns.
 
 The constructed environment has one initial state per reduced resolution of
 the source, carrying that resolution's probability; transitions and
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteDist, Pomdp, Rat
-from .envpolicy import BehaviorMap, _behaviors, behavior_tree
+from .envpolicy import BehaviorMap, _behaviors, _NodeIds, _trees
 from .errors import DeterminismError
 
 _ZERO = Fraction(0)
@@ -35,13 +38,6 @@ def is_deterministic(p: Pomdp) -> bool:
     return all(dist.is_point() for _, dist in p.trans) and all(
         dist.is_point() for _, dist in p.obs
     )
-
-
-def _require_deterministic(p: Pomdp) -> None:
-    if not is_deterministic(p):
-        raise DeterminismError(
-            "operation requires deterministic transitions and observations"
-        )
 
 
 def _point(dist: FiniteDist) -> str:
@@ -88,25 +84,36 @@ def determinize(p: Pomdp, m: int) -> Pomdp:
     return Pomdp.build(tuple(names.values()), p.actions, p.observations, init, trans, obs)
 
 
-def _maps(p: Pomdp, m: int):
-    """Behavior maps of a deterministic environment's states, built over one
-    shared memo: returns s -> the map of the environment started in s."""
-    actions = tuple(sorted(p.actions))
-    node = behavior_tree(
-        actions,
-        m,
-        lambda s, t: _point(p.obs_dist(s)),
-        lambda s, a, t: _point(p.trans_dist(s, a)),
-    )
-    return lambda s: BehaviorMap(actions, node(s, 0))
+def _ids(p: Pomdp, m: int, table: dict[tuple, int]) -> _NodeIds:
+    """(state, turn) -> id in `table` of the behavior of a deterministic
+    environment started in that state at that turn."""
+    if not is_deterministic(p):
+        raise DeterminismError("operation requires deterministic transitions and observations")
+    return _NodeIds(table, p.actions, m, lambda s, t: _point(p.obs_dist(s)),
+                    lambda s, a, t: _point(p.trans_dist(s, a)))
 
 
 def initial_behavior_map(p: Pomdp, s: str, m: int) -> BehaviorMap:
     """Behavior map of a deterministic environment started in state `s`:
     each deterministic policy is sent to the unique length-m history it
     generates from there."""
-    _require_deterministic(p)
-    return _maps(p, m)(s)
+    table: dict[tuple, int] = {}
+    root = _ids(p, m, table)[s, 0]
+    return _trees(table, p.actions, [root])[root]
+
+
+def _cells(p: Pomdp, m: int, table: dict[tuple, int]) -> list[tuple[int, tuple[str, ...], Rat]]:
+    """The behavior partition of a deterministic environment's initial
+    support with its behaviors interned in `table`: (id, members in declared
+    order, aggregated initial mass) per cell, cells in order of their first
+    member."""
+    ids = _ids(p, m, table)
+    roots = [(s, ids[s, 0]) for s in p.init.support]
+    groups: dict[int, list[str]] = {}
+    for s, i in sorted(roots, key=lambda root: p.state_index[root[0]]):
+        groups.setdefault(i, []).append(s)
+    return [(i, tuple(members), sum((p.init.prob(s) for s in members), _ZERO))
+            for i, members in groups.items()]
 
 
 @dataclass(frozen=True)
@@ -123,26 +130,12 @@ class BehaviorPartition:
 def behavior_partition(p: Pomdp, m: int) -> BehaviorPartition:
     """Partition the initial support by behavior map; cell masses sum to 1.
 
-    The maps share one memo, so building them takes O(|S|·|A|·m) steps;
-    hashing a map still visits its |A|^m leaves."""
-    _require_deterministic(p)
-    map_of = _maps(p, m)
-    groups: dict[BehaviorMap, list[str]] = {}
-    for s in p.init.support:
-        groups.setdefault(map_of(s), []).append(s)
-    cells = sorted(
-        (
-            (bm, tuple(sorted(members, key=p.state_index.__getitem__)))
-            for bm, members in groups.items()
-        ),
-        key=lambda cell: p.state_index[cell[1][0]],
-    )
-    return BehaviorPartition(
-        tuple(
-            (bm, members, sum((p.init.prob(s) for s in members), _ZERO))
-            for bm, members in cells
-        )
-    )
+    Cells are found by comparing interned ids (`_cells`), in O(|S|·|A|·m)
+    steps; only the returned maps are unfolded into trees."""
+    table: dict[tuple, int] = {}
+    cells = _cells(p, m, table)
+    maps = _trees(table, p.actions, [i for i, _, _ in cells])
+    return BehaviorPartition(tuple((maps[i], members, mass) for i, members, mass in cells))
 
 
 def minimize(p: Pomdp, m: int) -> Pomdp:
@@ -150,8 +143,7 @@ def minimize(p: Pomdp, m: int) -> Pomdp:
     cell's mass moves to its first-declared member, then states unreachable
     from the new initial support are pruned.  The behavior-map distribution,
     and hence counterfactual equivalence at horizon m, is preserved."""
-    partition = behavior_partition(p, m)
-    new_init = [(members[0], mass) for _, members, mass in partition.cells]
+    new_init = [(members[0], mass) for _, members, mass in _cells(p, m, {})]
 
     reachable: set[str] = set()
     frontier = [s for s, _ in new_init]

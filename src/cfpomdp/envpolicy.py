@@ -112,7 +112,7 @@ class _Turns(dict):
     observations first, into the `_product` of observation picks ((s, t), o)
     and, before turn m and only if every state has one, of successor picks
     ((s, a, t + 1), s2) on visited x actions, each with the sorted states it
-    visits.  Like `_TreeMemo` it makes no reference cycle."""
+    visits.  Like `_NodeIds` it makes no reference cycle."""
 
     def __init__(self, p: Pomdp, m: int):
         if m < 1:
@@ -247,9 +247,9 @@ def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
 
 def _generates(h: History, x, label, step) -> bool:
     """Whether the deterministic evolution from `x`, driven by h's own
-    actions, makes h's observations; `label` and `step` are as in
-    `behavior_tree` (a resolution's `obs_at` and `next_state`, or a tree's
-    walk).  Reads stop at the first other observation."""
+    actions, makes h's observations; `label(x, turn)` and
+    `step(x, action, turn)` are as in `_NodeIds` (a resolution's `obs_at`
+    and `next_state`).  Reads stop at the first other observation."""
     if label(x, 0) != h.initial_obs:
         return False
     for turn, (action, obs) in enumerate(h.steps, start=1):
@@ -293,34 +293,61 @@ def env_policy_posterior(
     return {ep: prior / total if g else _ZERO for (ep, prior), g in zip(support, generating)}
 
 
-class _TreeMemo(dict):
-    """Memo of `behavior_tree`: looking up a missing (state, turn) builds its
-    node.  Unlike a self-recursive closure it makes no reference cycle, which
-    only the cyclic garbage collector would free."""
+class _NodeIds(dict):
+    """(state, turn) -> id of its behavior node in a caller's intern table
+    {(label(s, t), child ids in sorted action order): id}, the node shape of
+    `equivalence._interned`: equal behaviors in one table get one id, and
+    children precede parents.  A missing key interns its children, then
+    itself, so one memo makes O(|S|·|A|·m) label and step calls in all.
+    Unlike a self-recursive closure it makes no reference cycle."""
 
-    def __init__(self, actions, m: int, label, step):
-        self.actions, self.m, self.label, self.step = actions, m, label, step
+    def __init__(self, table: dict[tuple, int], actions, m: int, label, step):
+        if m < 0:
+            raise InputError(f"turn count must be >= 0, got {m}")
+        self.table, self.actions, self.m = table, sorted(actions), m
+        self.label, self.step = label, step
 
-    def __missing__(self, key: tuple[str, int]) -> tuple:
+    def __missing__(self, key: tuple[str, int]) -> int:
         s, t = key
-        children = () if t == self.m else tuple(
+        kids = () if t == self.m else tuple(
             self[self.step(s, a, t + 1), t + 1] for a in self.actions
         )
-        node = self[key] = (self.label(s, t), children)
-        return node
+        self[key] = self.table.setdefault((self.label(s, t), kids), len(self.table))
+        return self[key]
 
 
-def behavior_tree(actions, m: int, label, step):
-    """Memoized behavior-tree builder: returns `node`, where node(s, t) is
-    (label(s, t), node(step(s, a, t + 1), t + 1) for each of `actions`), with
-    no children at turn m.  Memoized over (state, turn), so one `node` makes
-    O(|S|·|A|·m) label and step calls in all.  Children are positional: the
-    i-th child answers the i-th action.
-    """
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
-    memo = _TreeMemo(actions, m, label, step)
-    return lambda s, t: memo[s, t]
+def _trees(table: dict[tuple, int], actions, wanted) -> dict[int, "BehaviorMap"]:
+    """The behavior maps of the ids `wanted`, their trees unfolded from an
+    intern table, in which children precede parents.  The only code that
+    builds a tuple tree."""
+    nodes = list(table)
+    need, stack = set(), list(wanted)
+    while stack:
+        i = stack.pop()
+        if i not in need:
+            need.add(i)
+            stack.extend(nodes[i][1])
+    trees: dict[int, tuple] = {}
+    for i in sorted(need):
+        o, kids = nodes[i]
+        trees[i] = o, tuple(trees[k] for k in kids)
+    actions = tuple(sorted(actions))
+    return {i: BehaviorMap(actions, trees[i]) for i in wanted}
+
+
+def _walk(pi: DeterministicPolicy, actions, node, read) -> History:
+    """The history `pi` generates down a behavior from `node`, where
+    `read(node)` is its observation and its children, one per action of
+    `actions`, in that order."""
+    obs, children = read(node)
+    h = History(obs)
+    while children:
+        action = pi.action_at(h)
+        if action not in actions:
+            raise InputError(f"action {action!r} outside the behavior map")
+        obs, children = read(children[actions.index(action)])
+        h = h.extend(action, obs)
+    return h
 
 
 @dataclass(frozen=True)
@@ -341,15 +368,7 @@ class BehaviorMap:
 
     def history_for(self, pi: DeterministicPolicy) -> History:
         """Walk the tree down along a deterministic policy."""
-        obs, children = self.tree
-        h = History(obs)
-        while children:
-            action = pi.action_at(h)
-            if action not in self.actions:
-                raise InputError(f"action {action!r} outside the behavior map")
-            obs, children = children[self.actions.index(action)]
-            h = h.extend(action, obs)
-        return h
+        return _walk(pi, self.actions, self.tree, lambda node: node)
 
     def histories(self) -> tuple[History, ...]:
         """All histories in the image of the map, one per action sequence,
@@ -371,9 +390,9 @@ def behavior_map(p: Pomdp, ep: EnvironmentPolicy, m: int) -> BehaviorMap:
         raise InputError(
             f"turn count {m} does not match environment policy horizon {ep.horizon}"
         )
-    actions = tuple(sorted(p.actions))
-    node = behavior_tree(actions, m, ep.obs_at, ep.next_state)
-    return BehaviorMap(actions, node(ep.init_state, 0))
+    table: dict[tuple, int] = {}
+    root = _NodeIds(table, p.actions, m, ep.obs_at, ep.next_state)[ep.init_state, 0]
+    return _trees(table, p.actions, [root])[root]
 
 
 def count_env_policies(p: Pomdp, m: int, convention: str = "full") -> int:

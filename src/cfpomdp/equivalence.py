@@ -28,8 +28,8 @@ visited states) on integer masses, enumerates no resolution; its nodes,
 labelled by observation, are the behavior maps.  `check_cf_equiv` interns
 both environments' nodes into one hash-consed table (`_interned`), where
 equal maps get equal ids, and compares {root id: mass}; trees are unfolded
-(`_trees`) only for the maps tied for the witness, and for every map by
-`behavior_distribution`.  `collection_prob` needs only the few histories it
+(`envpolicy._trees`) only for the maps tied for the witness, and for every
+map by `behavior_distribution`.  `collection_prob` needs only the few histories it
 is asked about: agents with one prefix share a state, so one forward pass
 over assignments {distinct prefix: state} (`_coupled_weight`) gives the
 mass without building any map.
@@ -48,7 +48,7 @@ from .core import (
     Rat,
     StochasticPolicy,
 )
-from .envpolicy import BehaviorMap, _behaviors, _product
+from .envpolicy import BehaviorMap, _behaviors, _product, _trees
 from .errors import InputError, SimilarityError
 from .trajectory import _policy_factor
 
@@ -385,23 +385,6 @@ def _interned(p: Pomdp, m: int, table: dict[tuple, int]) -> dict[int, Rat]:
     return {ids[i]: mass for i, mass in roots.items()}
 
 
-def _trees(table: dict[tuple, int], wanted) -> dict[int, tuple]:
-    """The behavior trees of the ids `wanted` and of their descendants,
-    unfolded from an intern table, in which children precede parents."""
-    nodes = list(table)
-    need, stack = set(), list(wanted)
-    while stack:
-        i = stack.pop()
-        if i not in need:
-            need.add(i)
-            stack.extend(nodes[i][1])
-    trees: dict[int, tuple] = {}
-    for i in sorted(need):
-        o, kids = nodes[i]
-        trees[i] = o, tuple(trees[k] for k in kids)
-    return trees
-
-
 def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     """Pushforward of the resolution distribution through the behavior map;
     resolutions with identical maps merge.  Values sum to exactly 1.
@@ -411,9 +394,8 @@ def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     """
     table: dict[tuple, int] = {}
     roots = _interned(p, m, table)
-    actions = tuple(sorted(p.actions))
-    trees = _trees(table, roots)
-    return {BehaviorMap(actions, trees[i]): mass for i, mass in roots.items()}
+    maps = _trees(table, p.actions, roots)
+    return {maps[i]: mass for i, mass in roots.items()}
 
 
 def _witness_query(bm: BehaviorMap) -> CollectionQuery:
@@ -450,12 +432,12 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
             differing[i] = masses
     low = min(min(masses) for masses in differing.values())
     tied = [i for i, masses in differing.items() if min(masses) == low]
-    trees = _trees(table, tied)
-    i = min(tied, key=trees.__getitem__)
+    maps = _trees(table, p1.actions, tied)
+    i = min(tied, key=lambda i: maps[i].tree)
     return Verdict(
         equivalent=False,
         witness=CollectionWitness(
-            query=_witness_query(BehaviorMap(tuple(sorted(p1.actions)), trees[i])),
+            query=_witness_query(maps[i]),
             value_left=differing[i][0],
             value_right=differing[i][1],
         ),

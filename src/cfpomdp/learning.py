@@ -12,7 +12,9 @@ For deterministic environments, m-counterfactual equivalence is decided by
 the partition masses alone: every resolution of such an environment is an
 initial state with that state's probability, so its behavior-map
 distribution is exactly `behavior_partition(env, m).masses()`.  `transfer`
-compares those masses instead of calling `check_cf_equiv`.
+compares those masses instead of calling `check_cf_equiv`: it interns both
+environments' cells (`determinize._cells`) into one table, where equal
+behaviors share an id, and compares {id: mass}.
 
 The value is linear in the start vector: with w(h | start) the weight of h
 from a start vector (`trajectory._weight`), P(h) = w(h | init * w) /
@@ -30,7 +32,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .core import History, Pomdp, Rat, _inexact, as_rational, parse_rational
-from .determinize import behavior_partition, is_deterministic
+from .determinize import _cells, is_deterministic
 from .envfile import read_text
 from .equivalence import _first_failure, ensure_similar
 from .errors import DeterminismError, InputError
@@ -113,17 +115,17 @@ def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
     if not is_deterministic(target):
         raise DeterminismError("transfer target must be deterministic")
     ensure_similar(spec.env, target)
-    source_cells = behavior_partition(spec.env, m)
-    target_cells = behavior_partition(target, m)
-    if source_cells.masses() != target_cells.masses():
+    table: dict[tuple, int] = {}
+    source = {i: (members, mass) for i, members, mass in _cells(spec.env, m, table)}
+    target_cells = _cells(target, m, table)
+    if {i: mass for i, (_, mass) in source.items()} != {i: mass for i, _, mass in target_cells}:
         raise InputError(
             "transfer requires counterfactually equivalent environments at the given horizon"
         )
-    source_by_map = {bm: (members, mass) for bm, members, mass in source_cells.cells}
 
     new_weights: list[tuple[str, Rat]] = []
-    for bm, members, _ in target_cells.cells:
-        src_members, src_mass = source_by_map[bm]
+    for i, members, _ in target_cells:
+        src_members, src_mass = source[i]
         averaged = (
             sum(
                 (spec.env.init.prob(s) * spec._weights[s] for s in src_members),

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo cross-check for joint history probabilities.
 
-Each episode samples one initial state of the deterministic twin, which
-stands for one reduced resolution with its probability, and walks every
-agent down that state's behavior map, so sampled joint frequencies estimate
-exactly the quantities `collection_prob` computes; the exact column sums
-the same masses by joint outcome.
+Each episode samples one reduced resolution with its probability: a root
+of `envpolicy._behaviors` labelled by (state, observation), one per
+resolution, in the order and with the masses of the deterministic twin's
+initial states.  Every agent walks down that root's nodes, so sampled joint
+frequencies estimate exactly the quantities `collection_prob` computes; the
+exact column sums the same masses by joint outcome.
 Identical seeds give identical output.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DeterministicPolicy, History, Pomdp, Rat
-from .determinize import _maps, determinize
+from .envpolicy import _behaviors, _walk
 from .errors import InputError
 
 _SCALE = 2**64
@@ -43,22 +44,22 @@ def simulate(
         raise InputError("need at least one agent policy")
     if episodes < 1:
         raise InputError(f"episodes must be >= 1, got {episodes}")
-    twin = determinize(p, m)
-    map_of, support = _maps(twin, m), twin.init.entries
+    nodes, roots = _behaviors(p, m, lambda s, o: (s, o))
 
     # All policies are deterministic, so a resolution fixes the whole joint
     # outcome; sampling reduces to a histogram over resolutions, and an
     # outcome's exact probability is the mass of the resolutions giving it.
-    joint_of = [tuple(map_of(s).history_for(pi) for pi in policies) for s, _ in support]
+    joint_of = [tuple(_walk(pi, p.actions, root, lambda i: (nodes[i][0][1], nodes[i][1]))
+                      for pi in policies) for root in roots]
     exact: dict[tuple[History, ...], Rat] = {}
     cumulative: list[Fraction] = []
     running = Fraction(0)
-    for joint, (_, prob) in zip(joint_of, support):
+    for joint, prob in zip(joint_of, roots.values()):
         exact[joint] = exact.get(joint, Fraction(0)) + prob
         running += prob
         cumulative.append(running)
 
-    counts = [0] * len(support)
+    counts = [0] * len(roots)
     rng = random.Random(seed)
     for _ in range(episodes):
         draw = Fraction(rng.getrandbits(64), _SCALE)

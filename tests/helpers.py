@@ -26,7 +26,6 @@ from cfpomdp.envpolicy import (
     _generates,
     _iter_support,
     behavior_map,
-    behavior_tree,
     enumerate_support,
     history_prob_given_ep,
 )
@@ -359,11 +358,22 @@ def rollout(p: Pomdp, ep, pi: DeterministicPolicy) -> History:
     return h
 
 
+def labelled_tree(p: Pomdp, ep, m: int, state: str, turn: int) -> tuple:
+    """The behavior tree of one resolution from `state` at `turn`, labelled
+    by (state, observation), with one child per declared action; built by
+    plain recursion, without a memo."""
+    children = () if turn == m else tuple(
+        labelled_tree(p, ep, m, ep.next_state(state, a, turn + 1), turn + 1) for a in p.actions
+    )
+    return (state, ep.obs_at(state, turn)), children
+
+
 def resolution_twin(p: Pomdp, m: int) -> Pomdp:
     """The deterministic twin built one resolution at a time: a behavior
-    tree labelled by (state, observation) per reduced resolution, its nodes
-    named base@turn in first-encounter pre-order (with a '.k' suffix when a
-    (base, turn) pair carries several behaviors), leaves self-looping."""
+    tree labelled by (state, observation) per reduced resolution
+    (`labelled_tree`), its nodes named base@turn in first-encounter
+    pre-order (with a '.k' suffix when a (base, turn) pair carries several
+    behaviors), leaves self-looping."""
     turn_of: dict[tuple, int] = {}
     init_mass: dict[tuple, Fraction] = {}
 
@@ -374,8 +384,7 @@ def resolution_twin(p: Pomdp, m: int) -> Pomdp:
                 register(child, turn + 1)
 
     for ep, prob in enumerate_support(p, m):
-        node = behavior_tree(p.actions, m, lambda s, t: (s, ep.obs_at(s, t)), ep.next_state)
-        root = node(ep.init_state, 0)
+        root = labelled_tree(p, ep, m, ep.init_state, 0)
         register(root, 0)
         init_mass[root] = init_mass.get(root, ZERO) + prob
 

@@ -343,6 +343,15 @@ class TestSimulateCommand:
         assert len(target) == 1
         assert target[0].rstrip().endswith("exact 1/4")
 
+    def test_action_outside_the_behavior_map_exit_two(self, runner):
+        result = invoke(
+            runner, "simulate", MU, "--m", "1", "--agents", "1",
+            "--policy", "o0 -> zz", "--episodes", "10", "--seed", "1",
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: action 'zz' outside the behavior map"]
+
     def test_policy_count_mismatch_exit_two(self, runner):
         result = invoke(
             runner, "simulate", MU, "--m", "1", "--agents", "2",

@@ -392,6 +392,11 @@ class TestBehaviorMap:
         with pytest.raises(InputError):
             behavior_map(mu, mu_ep(0, 0), 2)
 
+    def test_action_outside_the_map_rejected(self, mu):
+        stray = DeterministicPolicy(((History.parse("o0"), "zz"),))
+        with pytest.raises(InputError, match="^action 'zz' outside the behavior map$"):
+            behavior_map(mu, mu_ep(0, 1), 1).history_for(stray)
+
     def test_matches_brute_force_rollouts(self, corpus, rng):
         # against rolling out every action sequence one by one: the image in
         # order, the history of every policy (or of 50 random ones when there

@@ -12,9 +12,11 @@ from cfpomdp import (
     History,
     InputError,
     Pomdp,
+    PureLearningSpec,
     SimilarityError,
     StochasticPolicy,
     behavior_distribution,
+    behavior_map,
     check_cf_equiv,
     check_equiv,
     collection_prob,
@@ -23,8 +25,10 @@ from cfpomdp import (
     enumerate_support,
     env_policy_posterior,
     history_prob,
+    initial_behavior_map,
     minimize,
     simulate,
+    transfer,
 )
 from cfpomdp import equivalence
 from cfpomdp.determinize import behavior_partition
@@ -778,13 +782,18 @@ def test_queried_environment_is_freed():
 @pytest.mark.parametrize(
     "name",
     ["check_cf_equiv", "determinize", "simulate", "enumerate_support", "env_policy_posterior",
-     "collection_prob", "behavior_distribution"],
+     "collection_prob", "behavior_distribution", "behavior_partition", "minimize", "transfer",
+     "behavior_map", "initial_behavior_map"],
 )
-def test_public_call_leaves_no_cycles(name, mu, mu_double_prime):
+def test_public_call_leaves_no_cycles(name, mu, mu_double_prime, mu_star):
     # memos and self-referring closures are freed by reference counting,
     # not left for the cyclic collector
     pi = DeterministicPolicy.constant(mu, 2, "a0")
     h = History.parse("o0 a0 s00")
+    det = determinize(mu, 2)
+    spec = PureLearningSpec.of(mu_star, {s: 1 for s in mu_star.init.support}, 1)
+    target = minimize(determinize(mu, 1), 1)
+    ep = enumerate_support(mu, 2)[0][0]
     calls = {
         "check_cf_equiv": lambda: check_cf_equiv(mu, mu_double_prime, 2),
         "determinize": lambda: determinize(mu, 2),
@@ -794,6 +803,11 @@ def test_public_call_leaves_no_cycles(name, mu, mu_double_prime):
         "collection_prob": lambda: collection_prob(
             mu, CollectionQuery(((h, pi.as_stochastic()),)), 2),
         "behavior_distribution": lambda: behavior_distribution(mu_double_prime, 2),
+        "behavior_partition": lambda: behavior_partition(det, 2),
+        "minimize": lambda: minimize(det, 2),
+        "transfer": lambda: transfer(spec, target, 1),
+        "behavior_map": lambda: behavior_map(mu, ep, 2),
+        "initial_behavior_map": lambda: initial_behavior_map(det, det.init.support[0], 2),
     }
     gc.collect()
     gc.disable()

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,32 @@ class TestTransfer:
     def test_horizon_mismatch_rejected(self, mu, mu_star):
         with pytest.raises(InputError):
             transfer(star_spec(mu_star, m=1), determinize(mu, 1), 2)
+
+    def test_interning_follows_sorted_action_order(self, mu, mu_star):
+        # both environments' behaviors share one intern table whose children
+        # follow the sorted actions, whatever order each environment declares
+        target = minimize(determinize(mu, 1), 1)
+        backwards = Pomdp.build(target.states, target.actions[::-1], target.observations,
+                                target.init, dict(target.trans), dict(target.obs))
+        assert backwards.actions == ("a1", "a0")
+        spec = star_spec(mu_star, {s: Fraction(i, 4) for i, s in enumerate(STAR_STATES)})
+        assert transfer(spec, backwards, 1).weights == transfer(spec, target, 1).weights
+        assert verify_universality(spec, backwards, 1) == (True, None)
+        assert behavior_partition(backwards, 1) == behavior_partition(target, 1)
+
+    def test_cells_are_compared_without_behavior_maps(self, mu, mu_star, monkeypatch):
+        # minimize and transfer compare interned ids: no tree is unfolded
+        spec = star_spec(mu_star)
+        det = determinize(mu, 1)
+        expected = transfer(spec, minimize(det, 1), 1)
+
+        def unfolded(*args):
+            raise AssertionError("a behavior map was built")
+
+        for module in ("cfpomdp.envpolicy", "cfpomdp.determinize"):
+            monkeypatch.setattr(sys.modules[module], "BehaviorMap", unfolded)
+        assert transfer(spec, minimize(det, 1), 1) == expected
+        assert verify_universality(spec, det, 1) == (True, None)
 
     @given(rational_weights)
     def test_cell_mass_identity(self, mu, mu_star, values):

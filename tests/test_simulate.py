@@ -1,9 +1,14 @@
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from cfpomdp import (
     CollectionQuery,
     DeterministicPolicy,
+    History,
+    InputError,
     collection_prob,
     enumerate_support,
     simulate,
@@ -63,3 +68,21 @@ def test_exact_column_is_the_collection_probability(corpus):
                     tuple((h, pi.as_stochastic()) for h, pi in zip(joint, policies))
                 )
                 assert exact == collection_prob(p, query, m) > 0
+
+
+def test_walks_the_behavior_nodes_without_a_twin(mu, monkeypatch):
+    # simulate reads `_behaviors`' nodes: no deterministic twin is built
+    def twin(*args):
+        raise AssertionError("a deterministic twin was built")
+
+    monkeypatch.setattr(sys.modules["cfpomdp.determinize"], "determinize", twin)
+    monkeypatch.setattr(sys.modules["cfpomdp.simulate"], "determinize", twin, raising=False)
+    policies = [DeterministicPolicy.constant(mu, 2, a) for a in mu.actions]
+    result = simulate(mu, 2, policies, episodes=200, seed=5)
+    assert result.outcomes == resolution_simulation(mu, 2, policies, 200, 5)
+
+
+def test_action_outside_the_behavior_map(mu):
+    stray = DeterministicPolicy(((History.parse("o0"), "zz"),))
+    with pytest.raises(InputError, match="^action 'zz' outside the behavior map$"):
+        simulate(mu, 1, [DeterministicPolicy.constant(mu, 1, "a0"), stray], 10, 1)
