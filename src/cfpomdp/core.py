@@ -205,8 +205,9 @@ class Pomdp:
     """A finite environment: states, actions, observations, and exact
     rational kernels (initial distribution, transitions, observations).
 
-    Declaration order of identifiers is the canonical order used by every
-    enumeration and output.
+    Declaration order of states, actions and observations orders kernel
+    rows, resolutions and file output; histories are ordered by
+    `history_sort_key`, which no declaration order moves.
     """
 
     states: tuple[str, ...]
@@ -282,18 +283,6 @@ class Pomdp:
             return self.obs_map[state]
         except KeyError:
             raise InputError(f"no observation row for state {state}") from None
-
-    def history_key(self, h: History) -> tuple[int, tuple[int, ...]]:
-        """Sort key realizing the declaration-order canonical history order."""
-        idx = []
-        try:
-            idx.append(self.obs_index[h.initial_obs])
-            for action, obs in h.steps:
-                idx.append(self.action_index[action])
-                idx.append(self.obs_index[obs])
-        except KeyError as exc:
-            raise InputError(f"unknown symbol {exc.args[0]!r} in history") from None
-        return (h.length, tuple(idx))
 
     def check_history_symbols(self, h: History) -> None:
         if h.initial_obs not in self.obs_index:
@@ -374,20 +363,41 @@ def _observe(p: Pomdp, arrivals) -> dict[str, dict[str, Rat]]:
     return out
 
 
+def _rows_within(p: Pomdp, m: int, starts=None) -> tuple[dict, dict]:
+    """The positive entries of every row that a horizon-m question reads, as
+    {s: [(o, w)]} and {(s, a): [(s2, w)]} sharing the rows' entry pairs, so
+    a missing one raises: the observation rows of the states reached at
+    turns 0..m from the positive `starts` ((state, weight) pairs, default
+    the initial distribution) and, before turn m, the transition rows of
+    those with an observation.  Turn by turn, observations before
+    transitions, each row is read once."""
+    if m < 0:
+        raise InputError(f"turn count must be >= 0, got {m}")
+    obs: dict[str, list[tuple[str, Rat]]] = {}
+    trans: dict[tuple[str, str], list[tuple[str, Rat]]] = {}
+    fresh = dict.fromkeys(s for s, w in (p.init.entries if starts is None else starts) if w > 0)
+    for t in range(m + 1):
+        obs.update((s, [e for e in p.obs_dist(s).entries if e[1] > 0]) for s in fresh)
+        if t < m:
+            fresh = [s for s in fresh if obs[s]]
+            trans.update(((s, a), [e for e in p.trans_dist(s, a).entries if e[1] > 0])
+                         for s in fresh for a in p.actions)
+            fresh = dict.fromkeys(s2 for s in fresh for a in p.actions for s2, _ in trans[s, a]
+                                  if s2 not in obs)
+    return obs, trans
+
+
 def _forward(p: Pomdp, m: int) -> list[dict[History, dict[str, None]]]:
     """For each length 0..m, map each history of positive weight to the
     states of positive weight after it, in insertion order: the support of
-    its belief, read row by row in the order `trajectory._weight` reads
-    them, so a missing row raises the same error."""
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
+    its belief, read from the rows swept by `_rows_within`."""
+    obs, trans = _rows_within(p, m)
 
     def observe(arrivals) -> dict[str, dict[str, None]]:
         out: dict[str, dict[str, None]] = {}
         for s in arrivals:
-            for o, wo in p.obs_dist(s).entries:
-                if wo > 0:
-                    out.setdefault(o, {})[s] = None
+            for o, _ in obs[s]:
+                out.setdefault(o, {})[s] = None
         return out
 
     layers = [{History(o): b for o, b in observe(s for s, w in p.init.entries if w > 0).items()}]
@@ -396,26 +406,24 @@ def _forward(p: Pomdp, m: int) -> list[dict[History, dict[str, None]]]:
             h.extend(a, o): b
             for h, support in layers[-1].items()
             for a in p.actions
-            for o, b in observe(
-                s2 for s in support for s2, w in p.trans_dist(s, a).entries if w > 0
-            ).items()
+            for o, b in observe(s2 for s in support for s2, _ in trans[s, a]).items()
         })
     return layers
 
 
 def reachable_histories(p: Pomdp, m: int) -> dict[int, tuple[History, ...]]:
     """Histories of positive probability under some policy, grouped by length
-    0..m, each group in canonical order.  Computed by forward closure over
-    the initial, transition, and observation kernels."""
+    0..m, each group in `history_sort_key` order.  Computed by forward
+    closure over the initial, transition, and observation kernels."""
     return {
-        t: tuple(sorted(layer.keys(), key=p.history_key))
+        t: tuple(sorted(layer.keys(), key=history_sort_key))
         for t, layer in enumerate(_forward(p, m))
     }
 
 
 def decision_points(p: Pomdp, m: int) -> tuple[History, ...]:
-    """Reachable histories of length < m, in canonical order: the domain of
-    every policy with horizon m."""
+    """Reachable histories of length < m, in `history_sort_key` order: the
+    domain of every policy with horizon m."""
     if m < 1:
         raise InputError(f"turn count must be >= 1, got {m}")
     grouped = reachable_histories(p, m - 1)
@@ -510,8 +518,9 @@ class StochasticPolicy:
 
 
 def enumerate_det_policies(p: Pomdp, m: int) -> list[DeterministicPolicy]:
-    """All deterministic policies on the reachable decision points, in
-    lexicographic order by the declared action ordering.
+    """All deterministic policies on the reachable decision points (in
+    `history_sort_key` order), in lexicographic order of their actions by
+    the declared action ordering.
 
     The count is |A| raised to the number of decision points; callers are
     expected to keep that number small.

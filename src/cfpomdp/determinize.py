@@ -8,14 +8,15 @@ unfolding a tree; `behavior_partition` unfolds only the maps it returns.
 The constructed environment has one initial state per reduced resolution of
 the source, carrying that resolution's probability; transitions and
 observations replay the resolution deterministically, with the turn index
-advanced alongside.  Replay states are the nodes of `envpolicy._behaviors`
-labelled by (base state, observation), so one state stands for every replay
-position with the same future, and resolutions that share a tail share its
-states; a labelled tree fixes its resolution, so initial states remain in
-probability-preserving bijection with the reduced support, in its order.
-States at the final turn self-loop under every action with their own
-observation, keeping the transition kernel total without adding pre-horizon
-behavior.
+advanced alongside.  Replay states are the nodes that `envpolicy._behaviors`
+interns, labelled by (base state, observation), so one state stands for
+every replay position with the same future, and resolutions that share a
+tail share its states; the traversal that names them follows each node's
+children in declared action order.  A labelled tree fixes its resolution,
+so initial states remain in probability-preserving bijection with the
+reduced support, in its order.  States at the final turn self-loop under
+every action with their own observation, keeping the transition kernel
+total without adding pre-horizon behavior.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteDist, Pomdp, Rat
-from .envpolicy import BehaviorMap, _behaviors, _NodeIds, _trees
+from .envpolicy import BehaviorMap, _NodeIds, _replay_nodes, _trees
 from .errors import DeterminismError
 
 _ZERO = Fraction(0)
@@ -48,15 +49,20 @@ def determinize(p: Pomdp, m: int) -> Pomdp:
     """Build a deterministic environment that is m-counterfactually
     equivalent to `p`, with all randomness moved into the initial
     distribution over per-resolution replay states."""
-    nodes, roots = _behaviors(p, m, lambda s, o: (s, o))
-    # Replay states in first-encounter (pre-order) order, with their turns.
+    nodes, roots = _replay_nodes(p, m)
+    actions = sorted(p.actions)
+    # Replay states in first-encounter (pre-order) order, with their turns;
+    # children, in sorted action order, are walked in declared order.
+    declared = [actions.index(a) for a in reversed(p.actions)]
     turn_of: dict[int, int] = {}
     stack = [(root, 0) for root in reversed(roots)]
     while stack:
         i, turn = stack.pop()
         if i not in turn_of:
             turn_of[i] = turn
-            stack.extend((child, turn + 1) for child in reversed(nodes[i][1]))
+            children = nodes[i][1]
+            if children:
+                stack.extend((children[j], turn + 1) for j in declared)
 
     # Name states base@turn, disambiguated by first-encounter index when the
     # same (base, turn) pair carries several distinct behaviors.
@@ -79,7 +85,7 @@ def determinize(p: Pomdp, m: int) -> Pomdp:
         (_, o), children = nodes[i]
         obs[name] = FiniteDist.point(o)
         targets = [names[child] for child in children] if children else [name] * len(p.actions)
-        for a, target in zip(p.actions, targets):
+        for a, target in zip(actions, targets):
             trans[(name, a)] = FiniteDist.point(target)
     return Pomdp.build(tuple(names.values()), p.actions, p.observations, init, trans, obs)
 

@@ -24,6 +24,7 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
+    _rows_within,
 )
 from .errors import InputError
 from .trajectory import _policy_factor
@@ -108,26 +109,28 @@ def _product(rows) -> list[tuple[tuple, Rat]]:
 
 class _Turns(dict):
     """One call's turn table, which fixes the canonical order: a missing
-    (turn t, states visited at t in declared order) reads their rows once,
-    observations first, into the `_product` of observation picks ((s, t), o)
-    and, before turn m and only if every state has one, of successor picks
-    ((s, a, t + 1), s2) on visited x actions, each with the sorted states it
-    visits.  Like `_NodeIds` it makes no reference cycle."""
+    (turn t, states visited at t in declared order) key holds the `_product`
+    of observation picks ((s, t), o) and, before turn m and only if every
+    state has one, of successor picks ((s, a, t + 1), s2) on visited x
+    actions, each with the sorted states it visits.  Rows come from one
+    `_rows_within` sweep, so each is read once per call and a missing one
+    raises before any key is built.  Like `_NodeIds` it makes no reference
+    cycle."""
 
     def __init__(self, p: Pomdp, m: int):
         if m < 1:
             raise InputError(f"turn count must be >= 1, got {m}")
         self.p, self.m = p, m
+        self.obs, self.trans = _rows_within(p, m)
 
     def __missing__(self, key: tuple[int, tuple[str, ...]]) -> tuple[list, list]:
         t, visited = key
         p = self.p
-        seen = _product([[(((s, t), o), w) for o, w in p.obs_dist(s).entries if w > 0]
-                         for s in visited])
+        seen = _product([[(((s, t), o), w) for o, w in self.obs[s]] for s in visited])
         moves = [] if t == self.m or not seen else [
             (ms, v, tuple(sorted({s2 for _, s2 in ms}, key=p.state_index.__getitem__)))
-            for ms, v in _product([[(((s, a, t + 1), s2), v) for s2, v in p.trans_dist(s, a).entries
-                                    if v > 0] for s in visited for a in p.actions])]
+            for ms, v in _product([[(((s, a, t + 1), s2), v) for s2, v in self.trans[s, a]]
+                                   for s in visited for a in p.actions])]
         return self.setdefault(key, (seen, moves))
 
     def walk(self, t: int, visited: tuple[str, ...], mass: Rat, init: str, trans: tuple, obs: tuple):
@@ -165,11 +168,13 @@ def _over(weights) -> tuple[int, list[int]]:
     return den, [w.numerator * (den // w.denominator) for w in weights]
 
 
-def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
-    """The reduced resolutions' behaviors as one table of interned nodes, as
-    in a reduced BDD: returns the nodes in id order and {root id: mass}.  A
-    node is (label(s, o), child ids in declared action order), s a state and
-    o its observation; nodes at turn m have no children.
+def _behaviors(p: Pomdp, m: int, label, table: dict[tuple, int]) -> dict[int, Rat]:
+    """The reduced resolutions' behaviors interned into a caller's table, as
+    in a reduced BDD; returns {root id: mass}.  A node is (label(s, o), child
+    ids in sorted action order), s a state and o its observation, the node
+    shape of `_NodeIds`: in one table equal behaviors get one id, whichever
+    environment and action order they come from, and children precede
+    parents.  Nodes at turn m have no children.
 
     No resolution is enumerated: F(t, V), memoized over `_Turns`' keys, is a
     distribution over tuples of node ids, one per state of V, held as
@@ -182,7 +187,7 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
     """
     turns = _Turns(p, m)
     n = len(p.actions)
-    ids: dict[tuple, int] = {}
+    slots = [p.actions.index(a) for a in sorted(p.actions)]
     memo: dict[tuple, tuple[int, dict[tuple[int, ...], int]]] = {}
 
     def dist(t: int, visited: tuple[str, ...]) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -198,9 +203,10 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
             for (ms, _, nxt), weight, (d, sub) in zip(moves, weights, below):
                 weight *= common // d
                 at = [nxt.index(s2) for _, s2 in ms]
-                # per state of V, its children's positions in nxt: a tuple even for one action
-                rows = [itemgetter(*at[i:i + n]) if n > 1 else itemgetter(slice(at[i], at[i] + 1))
-                        for i in range(0, len(at), n)]
+                # per state of V, its children's positions in nxt in sorted
+                # action order: a tuple even for one action
+                rows = [itemgetter(*[at[i + j] for j in slots]) if n > 1
+                        else itemgetter(slice(at[i], at[i] + 1)) for i in range(0, len(at), n)]
                 for key, mass in sub.items():
                     vec = tuple([row(key) for row in rows])
                     children[vec] = children.get(vec, 0) + weight * mass
@@ -208,7 +214,7 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
         out = {}
         for (seen, _), w in zip(seen_picks, weights):
             for vec, mass in children.items():
-                key = tuple([ids.setdefault((label(s, o), kids), len(ids))
+                key = tuple([table.setdefault((label(s, o), kids), len(table))
                              for ((s, _), o), kids in zip(seen, vec)])
                 out[key] = w * mass
         memo[t, visited] = d_seen * den, out
@@ -225,7 +231,15 @@ def _behaviors(p: Pomdp, m: int, label) -> tuple[list[tuple], dict[int, Rat]]:
             masses[root] = masses.get(root, 0) + w0 * mass
     del dist  # it refers to itself: break the cycle so its memo dies here
     den *= common
-    return list(ids), {root: Fraction(mass, den) for root, mass in masses.items()}
+    return {root: Fraction(mass, den) for root, mass in masses.items()}
+
+
+def _replay_nodes(p: Pomdp, m: int) -> tuple[list[tuple], dict[int, Rat]]:
+    """`_behaviors` labelled by (state, observation), which fixes each
+    resolution: its nodes in id order and {root id: mass}."""
+    table: dict[tuple, int] = {}
+    roots = _behaviors(p, m, lambda s, o: (s, o), table)
+    return list(table), roots
 
 
 def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
@@ -284,8 +298,8 @@ def env_policy_posterior(
         m = max(h.length, 1)
     if m < h.length:
         raise InputError(f"posterior horizon {m} shorter than history ({h.length})")
-    support = enumerate_support(p, m)
     p.check_history_symbols(h)
+    support = enumerate_support(p, m)
     generating = [_generates(h, ep.init_state, ep.obs_at, ep.next_state) for ep, _ in support]
     total = sum((prior for (_, prior), g in zip(support, generating) if g), _ZERO)
     if total == 0 or _policy_factor(h, pi) == 0:
@@ -296,7 +310,7 @@ def env_policy_posterior(
 class _NodeIds(dict):
     """(state, turn) -> id of its behavior node in a caller's intern table
     {(label(s, t), child ids in sorted action order): id}, the node shape of
-    `equivalence._interned`: equal behaviors in one table get one id, and
+    `_behaviors`: equal behaviors in one table get one id, and
     children precede parents.  A missing key interns its children, then
     itself, so one memo makes O(|S|·|A|·m) label and step calls in all.
     Unlike a self-recursive closure it makes no reference cycle."""

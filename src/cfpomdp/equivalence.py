@@ -25,14 +25,16 @@ distribution determines it; conversely the distribution is recovered from
 collections that pin down a full behavior map.  So the verdict compares the
 two distributions.  `envpolicy._behaviors`, a dynamic program over (turn,
 visited states) on integer masses, enumerates no resolution; its nodes,
-labelled by observation, are the behavior maps.  `check_cf_equiv` interns
-both environments' nodes into one hash-consed table (`_interned`), where
-equal maps get equal ids, and compares {root id: mass}; trees are unfolded
-(`envpolicy._trees`) only for the maps tied for the witness, and for every
-map by `behavior_distribution`.  `collection_prob` needs only the few histories it
-is asked about: agents with one prefix share a state, so one forward pass
-over assignments {distinct prefix: state} (`_coupled_weight`) gives the
-mass without building any map.
+labelled by observation, are the behavior maps.  `check_cf_equiv` has it
+intern both environments' nodes, children in sorted action order, into one
+hash-consed table, where equal maps get equal ids, and compares
+{root id: mass}; trees are unfolded (`envpolicy._trees`) only for the maps
+tied for the witness, and for every map by `behavior_distribution`.
+`collection_prob` needs only the few histories it is asked about: agents
+with one prefix share a state, so one forward pass over assignments
+{distinct prefix: state} (`_coupled_weight`) gives the mass without
+building any map.  Every horizon-m engine reads its rows through one sweep,
+`core._rows_within`, so each row is read at most once per call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
+    _rows_within,
 )
 from .envpolicy import BehaviorMap, _behaviors, _product, _trees
 from .errors import InputError, SimilarityError
@@ -187,29 +190,25 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
     Only v·r for v in F_j matters, so R_k is kept on the pivots of F_j's
     basis (`_on_pivots`), from the values r·(b·M_{a,o}) on its vectors b.
 
-    Weights are scaled by one common denominator to integers, which moves
-    neither a span nor a zero; a vector at turn t is scale**(2t + 2) times
-    the beliefs.  The pass reads a state's rows once a vector reaches it and
-    stops at the failing turn; up to turn m it then follows reached states
-    alone, so a missing row that a history of length <= m needs raises.
+    Both sides' rows come from one `_rows_within` sweep from their starts,
+    so a missing row that a history of length <= m needs raises before any
+    comparison.  The swept rows and the starts are scaled once to integers
+    by the lcm of their denominators, which moves neither a span nor a zero
+    and cancels out of every value; a vector at turn t is scale**(2t + 2)
+    times the beliefs.
     """
-    envs = (p1, p2)
-    rows = [*starts, *(d.entries for p in envs for _, d in (*p.trans, *p.obs))]
-    scale = lcm(*(w.denominator for entries in rows for _, w in entries))
+    sweeps = [_rows_within(p, m, start) for p, start in zip((p1, p2), starts)]
+    tables = [rows for sweep in sweeps for rows in sweep]
+    scale = lcm(*(w.denominator for entries in starts for _, w in entries if w > 0),
+                *(w.denominator for rows in tables for row in rows.values() for _, w in row))
 
-    def scaled(entries) -> list:
-        return [(x, w.numerator * (scale // w.denominator)) for x, w in entries if w > 0]
+    def scaled(w: Rat) -> int:
+        return w.numerator * (scale // w.denominator)
 
-    memo: dict[tuple, list] = {}
-
-    def row(side: int, s: str, a: str | None = None) -> list:
-        """One side's observation row at s (a None) or transition row at
-        (s, a), read and scaled once per call."""
-        key = side, s, a
-        if key not in memo:
-            p = envs[side]
-            memo[key] = scaled((p.obs_dist(s) if a is None else p.trans_dist(s, a)).entries)
-        return memo[key]
+    for rows in tables:
+        for key, row in rows.items():
+            rows[key] = [(x, scaled(w)) for x, w in row]  # in place: one copy of each row
+    obs, trans = zip(*sweeps)  # obs[side][s] and trans[side][s, a]
 
     def children(v: dict) -> dict[tuple[str, str], dict]:
         """v·M_{a,o} for each (a, o) where it is not zero."""
@@ -217,31 +216,26 @@ def _first_failure(p1: Pomdp, p2: Pomdp, m: int, starts):
         for a in p1.actions:
             moved: dict = {}
             for (side, s), x in v.items():
-                for s2, w in row(side, s, a):
+                for s2, w in trans[side][s, a]:
                     moved[side, s2] = moved.get((side, s2), 0) + x * w
-            for j, x in moved.items():
+            for (side, s2), x in moved.items():
                 if x:
-                    for o, w in row(*j):
-                        out.setdefault((a, o), {})[j] = x * w
+                    for o, w in obs[side][s2]:
+                        out.setdefault((a, o), {})[side, s2] = x * w
         return out
 
     start: dict[str, dict] = {}
     for side in (0, 1):
-        for s, w in scaled(starts[side]):
-            for o, wo in row(side, s):
-                start.setdefault(o, {})[side, s] = w * wo
+        for s, w in starts[side]:
+            if w > 0:
+                for o, wo in obs[side][s]:
+                    start.setdefault(o, {})[side, s] = scaled(w) * wo
     bases = [_span(start.values())]  # F_0 .. F_failing
     while not any(_signed(b) for b in bases[-1]):
         if len(bases) > m:
             return None
         bases.append(_span(c for b in bases[-1] for c in children(b).values()))
     failing = len(bases) - 1
-    # rows only from here: no history after the failing turn is compared
-    reached = dict.fromkeys(j for b in bases[-1] for j in b)
-    for _ in range(failing, m):
-        moved = dict.fromkeys((side, s2) for side, s in reached for a in p1.actions
-                              for s2, _ in row(side, s, a))
-        reached = {j: None for j in moved if row(*j)}
 
     # back[j] spans R_{failing - j} on F_j
     back = [[_on_pivots(bases[failing], dict(enumerate(map(_signed, bases[failing]))))]]
@@ -274,8 +268,6 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     in `history_sort_key` order, whose weights differ (`_first_failure`
     from both initial distributions)."""
     ensure_similar(p1, p2)
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
     failure = _first_failure(p1, p2, m, (p1.init.entries, p2.init.entries))
     if failure is None:
         return Verdict(equivalent=True)
@@ -287,25 +279,6 @@ def check_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
         equivalent=False,
         witness=ConditionalWitness(h, h.prefix(0), DeterministicPolicy.script(h), *values),
     )
-
-
-def _rows_within(p: Pomdp, m: int) -> tuple[dict, dict]:
-    """The positive entries of every row that a horizon-m resolution reads,
-    as {s: {o: w}} and {(s, a): [(s2, w)]}, so a missing one raises: the
-    observation rows of the states reached at turns 0..m and, before turn m,
-    the transition rows of those with an observation.  The sweep over
-    reached sets makes O(m·|S|·|A|) row reads."""
-    obs: dict[str, dict[str, Rat]] = {}
-    trans: dict[tuple[str, str], list] = {}
-    reached = [s for s, w in p.init.entries if w > 0]
-    for t in range(m + 1):
-        obs.update((s, {o: w for o, w in p.obs_dist(s).entries if w > 0}) for s in reached)
-        if t < m:
-            reached = [s for s in reached if obs[s]]
-            trans.update(((s, a), [(s2, w) for s2, w in p.trans_dist(s, a).entries if w > 0])
-                         for s in reached for a in p.actions)
-            reached = dict.fromkeys(s2 for s in reached for a in p.actions for s2, _ in trans[s, a])
-    return obs, trans
 
 
 def _coupled_weight(p: Pomdp, histories: list[History], m: int) -> Rat:
@@ -321,7 +294,7 @@ def _coupled_weight(p: Pomdp, histories: list[History], m: int) -> Rat:
     o0 = histories[0].initial_obs
     if any(h.initial_obs != o0 for h in histories):
         return _ZERO
-    level = {(s,): w * obs[s][o0] for s, w in p.init.entries if w > 0 and o0 in obs[s]}
+    level = {(s,): w * x for s, w in p.init.entries if w > 0 for o, x in obs[s] if o == o0}
     prefixes: dict[tuple, int] = {(): 0}
     for t in range(1, max(h.length for h in histories) + 1):
         turn = dict.fromkeys(h.steps[:t] for h in histories if h.length >= t)
@@ -335,16 +308,17 @@ def _coupled_weight(p: Pomdp, histories: list[History], m: int) -> Rat:
                 continue
             slot = {d: j for j, d in enumerate(draws)}
             slots = [slot[states[i], a] for i, a, _ in steps]
-            rows = [[(s2, v) for s2, v in trans[d] if o in obs[s2]] for d, o in draws.items()]
+            # each pick carries its arrival's weight of the expected observation
+            rows = [[((s2, x), v) for s2, v in trans[d] for o2, x in obs[s2] if o2 == o]
+                    for d, o in draws.items()]
             for picks, v in _product(rows):
                 seen: dict[str, str] = {}
-                if any(seen.setdefault(s2, o) != o for s2, o in zip(picks, draws.values())):
+                if any(seen.setdefault(s2, o) != o for (s2, _), o in zip(picks, draws.values())):
                     continue
                 w = mass if v == 1 else mass * v
-                for s2, o in seen.items():
-                    x = obs[s2][o]
+                for x in dict(picks).values():  # one observation per arrival state
                     w = w if x == 1 else w * x
-                arrivals = tuple(picks[j] for j in slots)
+                arrivals = tuple(picks[j][0] for j in slots)
                 out[arrivals] = out.get(arrivals, _ZERO) + w
         level = out
         prefixes = {k: i for i, k in enumerate(turn)}
@@ -371,29 +345,15 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     return total
 
 
-def _interned(p: Pomdp, m: int, table: dict[tuple, int]) -> dict[int, Rat]:
-    """p's behavior maps as {root id: mass}: the nodes of `envpolicy._behaviors`,
-    labelled by observation, re-interned in id order into `table` with their
-    children in sorted action order, so that in one table equal maps share
-    one id, whichever environment and action order they come from."""
-    nodes, roots = _behaviors(p, m, lambda s, o: o)
-    slot = [p.actions.index(a) for a in sorted(p.actions)]
-    ids: list[int] = []
-    for o, kids in nodes:
-        key = o, tuple(ids[kids[j]] for j in slot) if kids else ()
-        ids.append(table.setdefault(key, len(table)))
-    return {ids[i]: mass for i, mass in roots.items()}
-
-
 def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     """Pushforward of the resolution distribution through the behavior map;
     resolutions with identical maps merge.  Values sum to exactly 1.
 
-    No resolution is enumerated: the interned nodes of `_interned` are the
-    maps, unfolded into trees here.
+    No resolution is enumerated: the nodes that `_behaviors` interns,
+    labelled by observation, are the maps, unfolded into trees here.
     """
     table: dict[tuple, int] = {}
-    roots = _interned(p, m, table)
+    roots = _behaviors(p, m, lambda s, o: o, table)
     maps = _trees(table, p.actions, roots)
     return {maps[i]: mass for i, mass in roots.items()}
 
@@ -411,8 +371,8 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     distributions; on failure, return a collection query whose joint
     probabilities are the two differing masses.
 
-    Both environments' maps are interned into one table (`_interned`), so
-    the distributions are equal exactly when {root id: mass} is, and no
+    Both environments' maps are interned into one table by `_behaviors`,
+    so the distributions are equal exactly when {root id: mass} is, and no
     tree is built for the verdict.  Among differing maps the witness
     prefers one that is impossible in one environment (smallest minimum
     mass), breaking ties by behavior tree, unfolded only for the maps tied
@@ -421,8 +381,8 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     """
     ensure_similar(p1, p2)
     table: dict[tuple, int] = {}
-    r1 = _interned(p1, m, table)
-    r2 = _interned(p2, m, table)
+    r1 = _behaviors(p1, m, lambda s, o: o, table)
+    r2 = _behaviors(p2, m, lambda s, o: o, table)
     if r1 == r2:
         return Verdict(equivalent=True)
     differing = {}

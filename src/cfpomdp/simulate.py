@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DeterministicPolicy, History, Pomdp, Rat
-from .envpolicy import _behaviors, _walk
+from .envpolicy import _replay_nodes, _walk
 from .errors import InputError
 
 _SCALE = 2**64
@@ -44,12 +44,13 @@ def simulate(
         raise InputError("need at least one agent policy")
     if episodes < 1:
         raise InputError(f"episodes must be >= 1, got {episodes}")
-    nodes, roots = _behaviors(p, m, lambda s, o: (s, o))
+    nodes, roots = _replay_nodes(p, m)
+    actions = sorted(p.actions)
 
     # All policies are deterministic, so a resolution fixes the whole joint
     # outcome; sampling reduces to a histogram over resolutions, and an
     # outcome's exact probability is the mass of the resolutions giving it.
-    joint_of = [tuple(_walk(pi, p.actions, root, lambda i: (nodes[i][0][1], nodes[i][1]))
+    joint_of = [tuple(_walk(pi, actions, root, lambda i: (nodes[i][0][1], nodes[i][1]))
                       for pi in policies) for root in roots]
     exact: dict[tuple[History, ...], Rat] = {}
     cumulative: list[Fraction] = []

@@ -250,19 +250,28 @@ def resolution_collection_prob(p: Pomdp, q, m: int, support=None) -> Fraction:
     return total
 
 
-def behavior_collection_prob(p: Pomdp, q, m: int, table=None) -> Fraction:
+def behavior_dp(p: Pomdp, m: int) -> tuple[list, dict]:
+    """The whole behavior DP labelled by observation: its interned nodes in
+    id order, children in sorted action order, and {root id: mass}."""
+    table: dict[tuple, int] = {}
+    roots = _behaviors(p, m, lambda s, o: o, table)
+    return list(table), roots
+
+
+def behavior_collection_prob(p: Pomdp, q, m: int, dp=None) -> Fraction:
     """The mass of the behavior maps whose trees generate every paired
     history, times the policies' factors, read only if it is positive: a sum
-    over the roots of the whole behavior DP (`_behaviors(p, m, label by
-    observation)` unless given as `table`), exponential in m."""
+    over the roots of the whole behavior DP (`behavior_dp(p, m)` unless
+    given as `dp`), exponential in m."""
     for h, _ in q.pairs:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
         p.check_history_symbols(h)
-    nodes, roots = _behaviors(p, m, lambda s, o: o) if table is None else table
+    nodes, roots = behavior_dp(p, m) if dp is None else dp
+    slot = {a: j for j, a in enumerate(sorted(p.actions))}
     total = sum((mass for root, mass in roots.items()
                  if all(_generates(h, root, lambda i, _: nodes[i][0],
-                                   lambda i, a, _: nodes[i][1][p.action_index[a]]) for h, _ in q.pairs)),
+                                   lambda i, a, _: nodes[i][1][slot[a]]) for h, _ in q.pairs)),
                 ZERO)
     for h, pi in q.pairs:
         if total == 0:

@@ -16,8 +16,15 @@ from cfpomdp import (
     reachable_histories,
     validate,
 )
+from cfpomdp.core import history_sort_key
 
-from helpers import brute_history_prob, prefixes, random_pomdp, tiny_two_state
+from helpers import (
+    brute_history_prob,
+    prefixes,
+    random_pomdp,
+    reversed_alphabets,
+    tiny_two_state,
+)
 
 
 class TestParseRational:
@@ -226,6 +233,16 @@ class TestReachableHistories:
     def test_negative_horizon_rejected(self, mu):
         with pytest.raises(InputError):
             reachable_histories(mu, -1)
+
+    def test_order_ignores_declaration_order(self, corpus, rng):
+        # one history order, `history_sort_key`, whatever order the
+        # alphabets are declared in
+        envs = list(corpus.values()) + [random_pomdp(rng) for _ in range(8)]
+        for p in envs:
+            for m in (0, 1, 2, 3):
+                grouped = reachable_histories(p, m)
+                assert reachable_histories(reversed_alphabets(p), m) == grouped
+                assert all(list(g) == sorted(g, key=history_sort_key) for g in grouped.values())
 
     def test_positive_brute_probability_under_uniform_policy(self, rng):
         # exactly the histories of positive probability when every action

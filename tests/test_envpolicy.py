@@ -21,9 +21,11 @@ from cfpomdp import (
     history_prob_given_ep,
     initial_posterior,
 )
+from cfpomdp import envpolicy
 from cfpomdp.core import decision_points
 
 from helpers import (
+    aliased_env,
     brute_response,
     full_resolutions,
     random_cf_env,
@@ -334,6 +336,19 @@ class TestEnvPolicyPosterior:
             env_policy_posterior(mu, generated, pi, 2)
         with pytest.raises(InputError, match="policy undefined at history o0 a0 s00"):
             history_prob_given_ep(mu, generated, support[0][0], pi)
+
+    def test_unknown_symbol_raises_before_enumeration(self, monkeypatch):
+        # at m = 4 the aliased env has 91,828 resolutions: none is built
+        def refuse(p, m):
+            raise AssertionError("resolutions enumerated")
+
+        monkeypatch.setattr(envpolicy, "enumerate_support", refuse)
+        p = aliased_env()
+        pi = DeterministicPolicy.constant(p, 1, "a0").as_stochastic()
+        for text, message in (("y zz x", "unknown action 'zz'"), ("y a0 w", "unknown observation 'w'"),
+                              ("w", "unknown observation 'w'")):
+            with pytest.raises(InputError, match=f"^{message} in history$"):
+                env_policy_posterior(p, History.parse(text), pi, 4)
 
     def test_is_the_twins_initial_posterior(self, corpus, rng):
         # the twin keeps all its uncertainty in the initial state, one per

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,18 +28,19 @@ from cfpomdp import (
     history_prob,
     initial_behavior_map,
     minimize,
+    reachable_histories,
     simulate,
     transfer,
 )
 from cfpomdp import equivalence
 from cfpomdp.determinize import behavior_partition
-from cfpomdp.envpolicy import _behaviors
 from cfpomdp.equivalence import _witness_query
 
 from helpers import (
     aliased_env,
     distribution_check_cf_equiv,
     behavior_collection_prob,
+    behavior_dp,
     brute_check_equiv,
     brute_collection_prob,
     random_cf_env,
@@ -593,7 +595,7 @@ def oracle_cases(cf_envs):
     """(environment, horizon, support, behavior DP) for the collection
     oracles: every random environment at m = 1..3 and the aliased one at 3."""
     for p, m in [(p, m) for p in cf_envs for m in (1, 2, 3)] + [(aliased_env(), 3)]:
-        yield p, m, enumerate_support(p, m), _behaviors(p, m, lambda s, o: o)
+        yield p, m, enumerate_support(p, m), behavior_dp(p, m)
 
 
 class TestCollectionProbOracle:
@@ -818,22 +820,42 @@ def test_public_call_leaves_no_cycles(name, mu, mu_double_prime, mu_star):
         gc.enable()
 
 
-def test_enumeration_reads_each_row_once_per_turn(monkeypatch):
-    # both resolution engines read one turn table: enumeration reads no more
-    # rows than the behavior DP, not one set per node of its walk
-    reads = []
+def scripted(text):
+    """A history with the policy playing its own actions, which reads no row."""
+    h = History.parse(text)
+    return h, DeterministicPolicy.script(h).as_stochastic()
+
+
+ROW_READERS = {
+    "enumerate_support": lambda p, twin: enumerate_support(p, 3),
+    "behavior_distribution": lambda p, twin: behavior_distribution(p, 3),
+    "check_cf_equiv": lambda p, twin: check_cf_equiv(p, twin, 3),
+    "check_equiv": lambda p, twin: check_equiv(p, twin, 4),
+    "reachable_histories": lambda p, twin: reachable_histories(p, 4),
+    "collection_prob": lambda p, twin: collection_prob(
+        p, CollectionQuery((scripted("y a0 x a0 x"), scripted("y a1 x"))), 6),
+    "determinize": lambda p, twin: determinize(p, 3),
+    "env_policy_posterior": lambda p, twin: env_policy_posterior(p, *scripted("y a0 x"), 3),
+}
+
+
+@pytest.mark.parametrize("engine", ROW_READERS)
+def test_reads_each_row_once_per_call(monkeypatch, engine):
+    # every horizon-m engine reads its rows through one sweep: no row of
+    # the aliased env, or of its split twin for the verdicts, is read twice
+    p = aliased_env()
+    twin = relabel_states(split_initial_state(p))
+    reads = Counter()
 
     def counted(read):
         def counting(self, *key):
-            reads.append(key)
+            reads[(id(self), *key)] += 1
             return read(self, *key)
         return counting
 
     for name in ("obs_dist", "trans_dist"):
         monkeypatch.setattr(Pomdp, name, counted(getattr(Pomdp, name)))
-    p = aliased_env()
-    enumerate_support(p, 3)
-    enumerated = len(reads)
-    reads.clear()
-    _behaviors(p, 3, lambda s, o: o)
-    assert 0 < enumerated <= len(reads)
+    ROW_READERS[engine](p, twin)
+    assert reads and max(reads.values()) == 1
+    if engine in ("check_cf_equiv", "check_equiv"):
+        assert {env for env, *_ in reads} == {id(p), id(twin)}
