@@ -348,19 +348,12 @@ def validate(p: Pomdp) -> list[str]:
     return out
 
 
-def _observe(p: Pomdp, arrivals) -> dict[str, dict[str, Rat]]:
-    """Split weighted (state, weight) arrivals by the observation each state
-    emits: observation -> unnormalized belief {state: weight}.  Only
-    positive weights count."""
-    out: dict[str, dict[str, Rat]] = {}
-    for s, w in arrivals:
-        if w <= 0:
-            continue
-        for o, wo in p.obs_dist(s).entries:
-            if wo > 0:
-                belief = out.setdefault(o, {})
-                belief[s] = belief.get(s, 0) + w * wo
-    return out
+def _check_horizon(m, least: int, name: str = "turn count") -> None:
+    """A horizon is an `int`, not a `bool`, and at least `least`."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InputError(f"{name} must be an int, got {m!r}")
+    if m < least:
+        raise InputError(f"{name} must be >= {least}, got {m}")
 
 
 def _rows_within(p: Pomdp, m: int, starts=None) -> tuple[dict, dict]:
@@ -371,8 +364,7 @@ def _rows_within(p: Pomdp, m: int, starts=None) -> tuple[dict, dict]:
     the initial distribution) and, before turn m, the transition rows of
     those with an observation.  Turn by turn, observations before
     transitions, each row is read once."""
-    if m < 0:
-        raise InputError(f"turn count must be >= 0, got {m}")
+    _check_horizon(m, 0)
     obs: dict[str, list[tuple[str, Rat]]] = {}
     trans: dict[tuple[str, str], list[tuple[str, Rat]]] = {}
     fresh = dict.fromkeys(s for s, w in (p.init.entries if starts is None else starts) if w > 0)
@@ -424,13 +416,8 @@ def reachable_histories(p: Pomdp, m: int) -> dict[int, tuple[History, ...]]:
 def decision_points(p: Pomdp, m: int) -> tuple[History, ...]:
     """Reachable histories of length < m, in `history_sort_key` order: the
     domain of every policy with horizon m."""
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
-    grouped = reachable_histories(p, m - 1)
-    out: list[History] = []
-    for t in range(m):
-        out.extend(grouped[t])
-    return tuple(out)
+    _check_horizon(m, 1)
+    return tuple(h for group in reachable_histories(p, m - 1).values() for h in group)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,7 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
+    _check_horizon,
     _rows_within,
 )
 from .errors import InputError
@@ -118,8 +119,7 @@ class _Turns(dict):
     cycle."""
 
     def __init__(self, p: Pomdp, m: int):
-        if m < 1:
-            raise InputError(f"turn count must be >= 1, got {m}")
+        _check_horizon(m, 1)
         self.p, self.m = p, m
         self.obs, self.trans = _rows_within(p, m)
 
@@ -316,8 +316,7 @@ class _NodeIds(dict):
     Unlike a self-recursive closure it makes no reference cycle."""
 
     def __init__(self, table: dict[tuple, int], actions, m: int, label, step):
-        if m < 0:
-            raise InputError(f"turn count must be >= 0, got {m}")
+        _check_horizon(m, 0)
         self.table, self.actions, self.m = table, sorted(actions), m
         self.label, self.step = label, step
 
@@ -416,8 +415,7 @@ def count_env_policies(p: Pomdp, m: int, convention: str = "full") -> int:
     |S| * |S|^(|S||A|m) * |O|^(|S|(m+1)).  ``transition-only`` omits the
     observation component: |S| * |S|^(|S||A|m).
     """
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
+    _check_horizon(m, 1)
     ns, na, no = len(p.states), len(p.actions), len(p.observations)
     base = ns * ns ** (ns * na * m)
     if convention == "transition-only":

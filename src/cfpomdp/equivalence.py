@@ -4,7 +4,7 @@ m-equivalence: two similar environments assign the same probability to
 every history up to length m, and hence the same conditional probability to
 every pair of histories, under every policy.  A policy's probability of h is
 its action factors along h times the policy-free weight w(h)
-(`trajectory._weight`), so it suffices to compare w(h) directly, the
+(`trajectory._joint`), so it suffices to compare w(h) directly, the
 length-0 histories (the initial observations o0) included.  A failure at
 length 0 is reported as (o0, o0) with the two unconditional probabilities
 of o0; a later one as the pair (h, o0) under the policy playing h's own
@@ -49,6 +49,7 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
+    _check_horizon,
     _rows_within,
 )
 from .envpolicy import BehaviorMap, _behaviors, _product, _trees
@@ -335,8 +336,7 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
         p.check_history_symbols(h)
-    if m < 1:
-        raise InputError(f"turn count must be >= 1, got {m}")
+    _check_horizon(m, 1)
     total = _coupled_weight(p, [h for h, _ in q.pairs], m)
     for h, pi in q.pairs:
         if total == 0:

@@ -16,12 +16,12 @@ compares those masses instead of calling `check_cf_equiv`: it interns both
 environments' cells (`determinize._cells`) into one table, where equal
 behaviors share an id, and compares {id: mass}.
 
-The value is linear in the start vector: with w(h | start) the weight of h
-from a start vector (`trajectory._weight`), P(h) = w(h | init * w) /
-w(h | init).  `evaluate` folds both along one history.  `transfer` has
-already made w(h | init) agree on both sides, so `verify_universality` runs
-`check_equiv`'s span comparison (`equivalence._first_failure`) from the
-weighted starts init * w.
+P(h) = sum_s w_s * j_s(h) / sum_s j_s(h), with j_s(h) the weight of h from
+initial state s alone: `evaluate` folds h once, its beliefs tagged by weight
+(`trajectory._joint`).  The numerator is the weight of h from the weighted
+starts init * w; `transfer` has already made the denominator agree on both
+sides, so `verify_universality` runs `check_equiv`'s span comparison
+(`equivalence._first_failure`) from those starts.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import History, Pomdp, Rat, _inexact, as_rational, parse_rational
+from .core import History, Pomdp, Rat, _check_horizon, _inexact, as_rational, parse_rational
 from .determinize import _cells, is_deterministic
 from .envfile import read_text
 from .equivalence import _first_failure, ensure_similar
 from .errors import DeterminismError, InputError
-from .trajectory import _weight
+from .trajectory import _joint
 
 _ZERO = Fraction(0)
 
@@ -53,8 +53,7 @@ class PureLearningSpec:
     def __post_init__(self):
         if not is_deterministic(self.env):
             raise DeterminismError("pure learning processes need a deterministic environment")
-        if self.horizon < 1:
-            raise InputError(f"horizon must be >= 1, got {self.horizon}")
+        _check_horizon(self.horizon, 1, "horizon")
         support = set(self.env.init.support)
         given = [s for s, _ in self.weights]
         if len(set(given)) != len(given):
@@ -88,11 +87,6 @@ class PureLearningSpec:
         return dict(self.weights)
 
 
-def _start(spec: PureLearningSpec) -> list[tuple[str, Rat]]:
-    """The initial distribution scaled state by state by the weights."""
-    return [(s, spec.env.init.prob(s) * w) for s, w in spec.weights]
-
-
 def evaluate(spec: PureLearningSpec, h: History) -> Rat:
     """Value of the learning process on `h`: the weight average under the
     posterior over initial states.  Impossible histories evaluate to 0."""
@@ -101,8 +95,9 @@ def evaluate(spec: PureLearningSpec, h: History) -> Rat:
             f"history length {h.length} exceeds the horizon {spec.horizon}"
         )
     spec.env.check_history_symbols(h)
-    total = _weight(spec.env, h)
-    return _ZERO if total == 0 else _weight(spec.env, h, _start(spec)) / total
+    joint = _joint(spec.env, h, [(spec._weights[s], s, w) for s, w in spec.env.init.entries])
+    total = sum(joint.values(), _ZERO)
+    return _ZERO if total == 0 else sum(w * x for w, x in joint.items()) / total
 
 
 def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
@@ -126,13 +121,8 @@ def transfer(spec: PureLearningSpec, target: Pomdp, m: int) -> PureLearningSpec:
     new_weights: list[tuple[str, Rat]] = []
     for i, members, _ in target_cells:
         src_members, src_mass = source[i]
-        averaged = (
-            sum(
-                (spec.env.init.prob(s) * spec._weights[s] for s in src_members),
-                _ZERO,
-            )
-            / src_mass
-        )
+        weighted = (spec.env.init.prob(s) * spec._weights[s] for s in src_members)
+        averaged = sum(weighted, _ZERO) / src_mass
         for s in members:
             new_weights.append((s, averaged))
     return PureLearningSpec.of(target, new_weights, m)
@@ -145,7 +135,8 @@ def _first_difference(spec: PureLearningSpec, moved: PureLearningSpec) -> Histor
     `transfer`), so w(h | init) agrees on both sides and the values differ
     exactly where w(h | init * w) does: `check_equiv`'s comparison from the
     weighted starts.  Impossible histories read 0 on both sides."""
-    failure = _first_failure(spec.env, moved.env, spec.horizon, (_start(spec), _start(moved)))
+    starts = tuple([(s, x.env.init.prob(s) * w) for s, w in x.weights] for x in (spec, moved))
+    failure = _first_failure(spec.env, moved.env, spec.horizon, starts)
     return None if failure is None else failure[0]
 
 

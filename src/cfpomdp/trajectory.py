@@ -1,37 +1,59 @@
 """History probabilities, conditional history probabilities, and the Bayes
 posterior over the initial state.
 
-Probabilities fold one forward step along one history: the unnormalized
-belief over the current state, moved by each action and split by
-observation (`core._observe`).  State sequences are marginalized, never
-enumerated.
+All three are one forward fold along one history (`_joint`): an unnormalized
+belief over (start tag, current state), moved by each action and kept where
+the state emits the history's next observation.  State sequences are
+marginalized, never enumerated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import History, Pomdp, Rat, StochasticPolicy, _observe
+from .core import History, Pomdp, Rat, StochasticPolicy
+from .errors import InputError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _weight(p: Pomdp, h: History, start=None) -> Rat:
-    """Total weight of `h` with all policy factors dropped: the forward step
-    folded along `h` alone.
+def _joint(p: Pomdp, h: History, starts: list, per_tag: bool = False) -> dict:
+    """{tag: weight of h} from (tag, state, weight) `starts`, every tag
+    present: h's probability, policy factors dropped, folded once along h
+    over unnormalized beliefs keyed by (tag, state), so tags never merge.
+    An arrival of weight <= 0 is skipped before its observation row is read,
+    every other arrival's row is read, and only positive entries count.  A
+    missing row raises once the fold is done: the first met or, `per_tag`,
+    the first failing tag's, as if each tag were folded alone."""
+    missing: dict = {}
 
-    This is the probability of `h` under the policy that plays h's own
-    actions.  `start` is (state, weight) pairs replacing the initial
-    distribution (the posterior's likelihood starts from one state).
-    """
-    belief = _observe(p, p.init.entries if start is None else start).get(h.initial_obs, {})
-    for action, obs in h.steps:
-        moved = (
-            (s2, w * wt) for s, w in belief.items() for s2, wt in p.trans_dist(s, action).entries
-        )
-        belief = _observe(p, moved).get(obs, {})
-    return sum(belief.values(), _ZERO)
+    def read(tag, row, *key):
+        try:
+            return row(*key).entries
+        except InputError as exc:
+            missing.setdefault(tag, exc)
+            return ()
+
+    def observe(arrivals, o: str) -> dict:
+        belief: dict = {}
+        for key, w in arrivals:
+            for o2, wo in read(key[0], p.obs_dist, key[1]) if w > 0 else ():
+                if o2 == o and wo > 0:
+                    x = w if wo == 1 else w * wo
+                    belief[key] = belief[key] + x if key in belief else x
+        return belief
+
+    joint = dict.fromkeys((tag for tag, _, _ in starts), _ZERO)
+    belief = observe((((tag, s), w) for tag, s, w in starts), h.initial_obs)
+    for action, o in h.steps:
+        belief = observe((((tag, s2), w if wt == 1 else w * wt) for (tag, s), w in belief.items()
+                          for s2, wt in read(tag, p.trans_dist, s, action)), o)
+    if missing:
+        raise missing[next(t for t in joint if t in missing) if per_tag else next(iter(missing))]
+    for (tag, _), w in belief.items():
+        joint[tag] += w
+    return joint
 
 
 def _policy_factor(h: History, pi: StochasticPolicy) -> Rat:
@@ -50,7 +72,7 @@ def history_prob(p: Pomdp, h: History, pi: StochasticPolicy) -> Rat:
     factor = _policy_factor(h, pi)
     if factor == 0:
         return _ZERO
-    return factor * _weight(p, h)
+    return factor * _joint(p, h, [(None, s, w) for s, w in p.init.entries])[None]
 
 
 def cond_history_prob(
@@ -75,17 +97,15 @@ def initial_posterior(p: Pomdp, h: History) -> dict[str, Rat]:
     """Posterior over the initial state given `h`, for every state.
 
     The policy's action factors cancel out of the Bayes ratio, so the result
-    is policy-independent; it is computed with them dropped.  Only states of
-    positive initial mass are walked; every other state reads 0.  If no
-    policy makes `h` possible, every entry is 0.
+    is policy-independent; it is computed with them dropped.  Only declared
+    states of positive initial mass are walked, each once; every other state
+    reads 0.  If no policy makes `h` possible, every entry is 0.
     """
     p.check_history_symbols(h)
-    joint = {
-        s: _weight(p, h, [(s, p.init.prob(s))])
-        for s in p.states
-        if p.init.prob(s) != 0
-    }
+    starts = [(s, s, p.init.prob(s)) for s in p.state_index if p.init.prob(s) != 0]
+    joint = _joint(p, h, starts, per_tag=True)
     total = sum(joint.values(), _ZERO)
-    if total == 0:
-        return {s: _ZERO for s in p.states}
-    return {s: joint.get(s, _ZERO) / total for s in p.states}
+    post = dict.fromkeys(p.states, _ZERO)
+    if total:
+        post.update((s, x / total) for s, x in joint.items() if x)
+    return post

@@ -725,3 +725,33 @@ def aliased_env() -> Pomdp:
         },
         {"s0": {"y": 1}, "s1": {"x": 1}, "s2": {"x": 1}},
     )
+
+
+def shared_successor_env() -> Pomdp:
+    """Deterministic, with three initial states: u and v emit the same
+    observation and both move to w, so a belief over current states alone
+    merges them after one step; d stays apart."""
+    return Pomdp.build(
+        ("u", "v", "d", "w"), ("a", "b"), ("x", "y"),
+        {"u": Fraction(1, 6), "v": Fraction(1, 3), "d": Fraction(1, 2)},
+        {
+            ("u", "a"): {"w": 1}, ("u", "b"): {"u": 1},
+            ("v", "a"): {"w": 1}, ("v", "b"): {"d": 1},
+            ("d", "a"): {"d": 1}, ("d", "b"): {"w": 1},
+            ("w", "a"): {"w": 1}, ("w", "b"): {"w": 1},
+        },
+        {"u": {"x": 1}, "v": {"x": 1}, "d": {"x": 1}, "w": {"y": 1}},
+    )
+
+
+def missing_rows_env() -> Pomdp:
+    """Deterministic and unvalidated: along "x a x a x", initial state s
+    reaches a state without an observation row (s2) at turn 2, and t one
+    (t1) at turn 1."""
+    return Pomdp.build(
+        ("s", "t", "s1", "s2", "t1"), ("a",), ("x",),
+        {"s": Fraction(1, 2), "t": Fraction(1, 2)},
+        {(s, "a"): {nxt: 1} for s, nxt in
+         (("s", "s1"), ("s1", "s2"), ("s2", "s2"), ("t", "t1"), ("t1", "t1"))},
+        {"s": {"x": 1}, "t": {"x": 1}, "s1": {"x": 1}},
+    )

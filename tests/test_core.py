@@ -5,15 +5,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfpomdp import (
+    CollectionQuery,
     DeterministicPolicy,
     FiniteDist,
     History,
     InputError,
     Pomdp,
+    PureLearningSpec,
     StochasticPolicy,
+    behavior_partition,
+    check_cf_equiv,
+    check_equiv,
+    collection_prob,
+    count_env_policies,
+    determinize,
     enumerate_det_policies,
+    enumerate_support,
+    env_policy_posterior,
+    minimize,
     parse_rational,
     reachable_histories,
+    simulate,
     validate,
 )
 from cfpomdp.core import history_sort_key
@@ -340,3 +352,38 @@ class TestPolicies:
             make = DeterministicPolicy
         with pytest.raises(InputError, match="policy names history o0 twice"):
             make(decisions)
+
+
+def _o0_query():
+    return CollectionQuery(((History.parse("o0"), DeterministicPolicy(()).as_stochastic()),))
+
+
+# a horizon that is not an int, or is a bool, on each public entry point
+HORIZON_PROBES = {
+    "check_equiv float": lambda c: check_equiv(c["mu"], c["mu-prime"], 2.0),
+    "check_equiv Fraction": lambda c: check_equiv(c["mu"], c["mu-prime"], Fraction(2)),
+    "check_equiv bool": lambda c: check_equiv(c["mu"], c["mu-prime"], True),
+    "check_cf_equiv float": lambda c: check_cf_equiv(c["mu"], c["mu-prime"], 2.0),
+    "check_cf_equiv bool": lambda c: check_cf_equiv(c["mu"], c["mu-prime"], True),
+    "determinize": lambda c: determinize(c["mu"], 1.5),
+    "enumerate_support": lambda c: enumerate_support(c["mu"], 2.0),
+    "collection_prob": lambda c: collection_prob(c["mu"], _o0_query(), 1.0),
+    "reachable_histories": lambda c: reachable_histories(c["mu"], 1.0),
+    "env_policy_posterior": lambda c: env_policy_posterior(
+        c["mu"], History.parse("o0"), DeterministicPolicy(()).as_stochastic(), 1.0),
+    "DeterministicPolicy.constant": lambda c: DeterministicPolicy.constant(c["mu"], 1.0, "a0"),
+    "simulate": lambda c: simulate(
+        c["mu"], 1.0, [DeterministicPolicy.constant(c["mu"], 1, "a0")], 10, 1),
+    "minimize": lambda c: minimize(c["mu-star"], 1.0),
+    "behavior_partition": lambda c: behavior_partition(c["mu-star"], 1.0),
+    "PureLearningSpec.of": lambda c: PureLearningSpec.of(
+        c["mu-star"], {s: Fraction(1, 2) for s in c["mu-star"].init.support}, 1.0),
+    "count_env_policies": lambda c: count_env_policies(c["mu"], 1.0),
+}
+
+
+class TestHorizonArgument:
+    @pytest.mark.parametrize("call", HORIZON_PROBES.values(), ids=HORIZON_PROBES.keys())
+    def test_rejected_with_input_error(self, corpus, call):
+        with pytest.raises(InputError, match=r"(turn count|horizon) must be an int, got "):
+            call(corpus)

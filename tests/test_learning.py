@@ -30,10 +30,12 @@ from cfpomdp.learning import _first_difference
 
 from helpers import (
     cell_of,
+    missing_rows_env,
     random_cf_env,
     random_pomdp,
     reachable_up_to,
     relabel_states,
+    shared_successor_env,
     split_initial_state,
 )
 
@@ -288,6 +290,22 @@ def first_posterior_difference(spec, other, histories):
 
 
 class TestForwardValues:
+    def test_initial_states_sharing_a_successor(self):
+        # u and v both reach w, so the fold must keep them apart to weigh
+        # them by their own weights
+        p = shared_successor_env()
+        spec = PureLearningSpec.of(p, {"u": 1, "v": 0, "d": Fraction(1, 2)}, 2)
+        assert evaluate(spec, History.parse("x a y")) == Fraction(1, 3)
+        for h in reachable_up_to(p, 2):
+            assert evaluate(spec, h) == posterior_value(spec, h)
+
+    def test_missing_row_named_in_fold_order(self):
+        # s meets a missing row at turn 2, t at turn 1: as when all initial
+        # states are folded together, t's is met first
+        spec = PureLearningSpec.of(missing_rows_env(), {"s": 1, "t": 0}, 2)
+        with pytest.raises(InputError, match="no observation row for state t1"):
+            evaluate(spec, History.parse("x a x a x"))
+
     def test_evaluate_and_first_difference_match_posterior(self, rng):
         # two random twins with their own weights, over the union of their
         # reachable histories in canonical order, as verify_universality

@@ -4,8 +4,10 @@ import pytest
 
 from cfpomdp import (
     DeterministicPolicy,
+    FiniteDist,
     History,
     InputError,
+    Pomdp,
     StochasticPolicy,
     cond_history_prob,
     history_prob,
@@ -16,10 +18,12 @@ from cfpomdp import (
 from helpers import (
     brute_history_prob,
     brute_posterior,
+    missing_rows_env,
     random_det_policy,
     random_pomdp,
     random_stochastic_policy,
     reachable_up_to,
+    shared_successor_env,
     tiny_three_state,
     tiny_two_state,
 )
@@ -155,3 +159,37 @@ class TestInitialPosterior:
             assert sum(initial_posterior(p, h).values()) == 1
         impossible = History("y", (("a", "y"), ("a", "x")))
         assert sum(initial_posterior(p, impossible).values()) == 0
+
+    def test_initial_states_sharing_a_successor_stay_apart(self):
+        # u and v both reach w: a belief over current states alone would
+        # merge them, the posterior must not
+        p = shared_successor_env()
+        post = initial_posterior(p, History.parse("x a y"))
+        assert (post["u"], post["v"], post["d"]) == (Fraction(1, 3), Fraction(2, 3), 0)
+        for h in reachable_up_to(p, 2):
+            pi = DeterministicPolicy.script(h).as_stochastic()
+            assert initial_posterior(p, h) == brute_posterior(p, h, pi)
+
+    def test_undeclared_initial_state_is_ignored(self, mu):
+        # `Pomdp.build` keeps an init entry for a state it does not declare;
+        # the posterior walks declared states only, the history weight reads
+        # every init entry
+        ghost = Pomdp.build(
+            mu.states, mu.actions, mu.observations,
+            FiniteDist(mu.init.entries + (("ghost", Fraction(1, 3)),)),
+            dict(mu.trans), dict(mu.obs),
+        )
+        for h in reachable_up_to(mu, 2):
+            assert initial_posterior(ghost, h) == initial_posterior(mu, h)
+            with pytest.raises(InputError, match="no observation row for state ghost"):
+                history_prob(ghost, h, DeterministicPolicy.script(h).as_stochastic())
+
+    def test_missing_row_named_as_if_each_state_were_folded_alone(self):
+        # s meets a missing row at turn 2, t at turn 1: the posterior names
+        # the first initial state's, the history weight the first one met
+        p = missing_rows_env()
+        h = History.parse("x a x a x")
+        with pytest.raises(InputError, match="no observation row for state s2"):
+            initial_posterior(p, h)
+        with pytest.raises(InputError, match="no observation row for state t1"):
+            history_prob(p, h, DeterministicPolicy.script(h).as_stochastic())
