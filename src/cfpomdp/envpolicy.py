@@ -75,7 +75,8 @@ class EnvironmentPolicy:
 
     def _key(self) -> tuple:
         """The choices read as mappings, a later repeated choice winning.  Not
-        cached: kept on every resolution of a posterior, it would double its memory."""
+        cached, nor are `env_policy_posterior`'s lookups: kept on every
+        resolution of a posterior, a cache would double its memory."""
         return (self.init_state, self.horizon, frozenset(dict(self.trans_choice).items()),
                 frozenset(dict(self.obs_choice).items()))
 
@@ -300,7 +301,10 @@ def env_policy_posterior(
         raise InputError(f"posterior horizon {m} shorter than history ({h.length})")
     p.check_history_symbols(h)
     support = enumerate_support(p, m)
-    generating = [_generates(h, ep.init_state, ep.obs_at, ep.next_state) for ep, _ in support]
+    generating = []
+    for ep, _ in support:  # choices read through local dicts: `ep` caches none
+        obs, trans = dict(ep.obs_choice), dict(ep.trans_choice)
+        generating.append(_generates(h, ep.init_state, lambda *k: obs[k], lambda *k: trans[k]))
     total = sum((prior for (_, prior), g in zip(support, generating) if g), _ZERO)
     if total == 0 or _policy_factor(h, pi) == 0:
         return {ep: _ZERO for ep, _ in support}

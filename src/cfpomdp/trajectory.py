@@ -4,7 +4,8 @@ posterior over the initial state.
 All three are one forward fold along one history (`_joint`): an unnormalized
 belief over (start tag, current state), moved by each action and kept where
 the state emits the history's next observation.  State sequences are
-marginalized, never enumerated.
+marginalized, never enumerated.  A missing row raises where the fold meets
+it; only then does `initial_posterior` re-fold start by start.
 """
 
 from __future__ import annotations
@@ -18,27 +19,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _joint(p: Pomdp, h: History, starts: list, per_tag: bool = False) -> dict:
+def _joint(p: Pomdp, h: History, starts: list) -> dict:
     """{tag: weight of h} from (tag, state, weight) `starts`, every tag
     present: h's probability, policy factors dropped, folded once along h
     over unnormalized beliefs keyed by (tag, state), so tags never merge.
     An arrival of weight <= 0 is skipped before its observation row is read,
     every other arrival's row is read, and only positive entries count.  A
-    missing row raises once the fold is done: the first met or, `per_tag`,
-    the first failing tag's, as if each tag were folded alone."""
-    missing: dict = {}
-
-    def read(tag, row, *key):
-        try:
-            return row(*key).entries
-        except InputError as exc:
-            missing.setdefault(tag, exc)
-            return ()
-
+    missing row raises where the fold meets it."""
     def observe(arrivals, o: str) -> dict:
         belief: dict = {}
         for key, w in arrivals:
-            for o2, wo in read(key[0], p.obs_dist, key[1]) if w > 0 else ():
+            for o2, wo in p.obs_dist(key[1]).entries if w > 0 else ():
                 if o2 == o and wo > 0:
                     x = w if wo == 1 else w * wo
                     belief[key] = belief[key] + x if key in belief else x
@@ -48,9 +39,7 @@ def _joint(p: Pomdp, h: History, starts: list, per_tag: bool = False) -> dict:
     belief = observe((((tag, s), w) for tag, s, w in starts), h.initial_obs)
     for action, o in h.steps:
         belief = observe((((tag, s2), w if wt == 1 else w * wt) for (tag, s), w in belief.items()
-                          for s2, wt in read(tag, p.trans_dist, s, action)), o)
-    if missing:
-        raise missing[next(t for t in joint if t in missing) if per_tag else next(iter(missing))]
+                          for s2, wt in p.trans_dist(s, action).entries), o)
     for (tag, _), w in belief.items():
         joint[tag] += w
     return joint
@@ -99,11 +88,17 @@ def initial_posterior(p: Pomdp, h: History) -> dict[str, Rat]:
     The policy's action factors cancel out of the Bayes ratio, so the result
     is policy-independent; it is computed with them dropped.  Only declared
     states of positive initial mass are walked, each once; every other state
-    reads 0.  If no policy makes `h` possible, every entry is 0.
+    reads 0.  If no policy makes `h` possible, every entry is 0.  A missing
+    row is named as if each initial state were folded alone, in declared order.
     """
     p.check_history_symbols(h)
     starts = [(s, s, p.init.prob(s)) for s in p.state_index if p.init.prob(s) != 0]
-    joint = _joint(p, h, starts, per_tag=True)
+    try:
+        joint = _joint(p, h, starts)
+    except InputError:
+        for start in starts:
+            _joint(p, h, [start])
+        raise
     total = sum(joint.values(), _ZERO)
     post = dict.fromkeys(p.states, _ZERO)
     if total:

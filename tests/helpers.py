@@ -755,3 +755,17 @@ def missing_rows_env() -> Pomdp:
          (("s", "s1"), ("s1", "s2"), ("s2", "s2"), ("t", "t1"), ("t1", "t1"))},
         {"s": {"x": 1}, "t": {"x": 1}, "s1": {"x": 1}},
     )
+
+
+def clean_start_then_missing_rows_env() -> Pomdp:
+    """`missing_rows_env` behind a third initial state, declared first: along
+    "x a x a x", r folds cleanly, s reaches s2 (no observation row) at turn
+    2, and t reaches t1 (none) at turn 1."""
+    return Pomdp.build(
+        ("r", "s", "t", "r1", "s1", "s2", "t1"), ("a",), ("x",),
+        {"r": Fraction(1, 3), "s": Fraction(1, 3), "t": Fraction(1, 3)},
+        {(s, "a"): {nxt: 1} for s, nxt in
+         (("r", "r1"), ("r1", "r1"), ("s", "s1"), ("s1", "s2"), ("s2", "s2"),
+          ("t", "t1"), ("t1", "t1"))},
+        {"r": {"x": 1}, "r1": {"x": 1}, "s": {"x": 1}, "t": {"x": 1}, "s1": {"x": 1}},
+    )

@@ -350,6 +350,15 @@ class TestEnvPolicyPosterior:
             with pytest.raises(InputError, match=f"^{message} in history$"):
                 env_policy_posterior(p, History.parse(text), pi, 4)
 
+    def test_caches_nothing_on_the_resolutions_it_returns(self):
+        # the returned dict keeps every resolution alive: a lookup dict
+        # cached on each would more than double the posterior's memory
+        p = aliased_env()
+        post = env_policy_posterior(p, History.parse("y a0 x"), StochasticPolicy.uniform(p, 2), 2)
+        assert any(post.values())
+        for ep in post:
+            assert "_obs" not in vars(ep) and "_trans" not in vars(ep), ep.describe()
+
     def test_is_the_twins_initial_posterior(self, corpus, rng):
         # the twin keeps all its uncertainty in the initial state, one per
         # resolution and in the support's order

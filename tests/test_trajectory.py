@@ -18,6 +18,7 @@ from cfpomdp import (
 from helpers import (
     brute_history_prob,
     brute_posterior,
+    clean_start_then_missing_rows_env,
     missing_rows_env,
     random_det_policy,
     random_pomdp,
@@ -184,10 +185,12 @@ class TestInitialPosterior:
             with pytest.raises(InputError, match="no observation row for state ghost"):
                 history_prob(ghost, h, DeterministicPolicy.script(h).as_stochastic())
 
-    def test_missing_row_named_as_if_each_state_were_folded_alone(self):
-        # s meets a missing row at turn 2, t at turn 1: the posterior names
-        # the first initial state's, the history weight the first one met
-        p = missing_rows_env()
+    @pytest.mark.parametrize("env", [missing_rows_env, clean_start_then_missing_rows_env])
+    def test_missing_row_named_as_if_each_state_were_folded_alone(self, env):
+        # s meets a missing row at turn 2, t at turn 1, and r (if present)
+        # none: the posterior names the first failing initial state's, the
+        # history weight the first one met
+        p = env()
         h = History.parse("x a x a x")
         with pytest.raises(InputError, match="no observation row for state s2"):
             initial_posterior(p, h)
