@@ -86,8 +86,8 @@ def _policy_to_text(pi: DeterministicPolicy) -> str:
 def _check_output(ctx, param, path: str) -> str:
     """-o fails before any work, with the write's own error, when it names a
     directory or a parent directory that cannot be reached."""
-    if os.path.isdir(path):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.isdir(path or "."):  # the write opens "" as "."
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path or ".")
     try:
         os.stat(os.path.dirname(path) or ".")
     except OSError as exc:

@@ -18,6 +18,8 @@ from .errors import InputError
 # Exact rational probability.  Arbitrary precision, stored in lowest terms
 # with a positive denominator.
 Rat = Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -47,29 +49,42 @@ def _inexact(value) -> InputError:
     return InputError(f"not an exact rational: {value!r} (use an int, a Fraction or 'p/q')")
 
 
-def _repeated_key(pairs):
-    """The first key that occurs twice among (key, value) pairs, else None."""
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            return key
-        seen.add(key)
-    return None
+class _Table:
+    """An exact finite table: one field of (key, value) pairs, no key twice.
+    Pairs keep their construction order for output, but two tables of one
+    type are equal, and hash alike, when their mappings are.  A subclass is a
+    frozen dataclass with ``eq=False``; it names its pairs field in `_field`
+    and its repeated-key message, with ``{}`` for the key, in `_repeated`."""
 
+    _field: str
+    _repeated: str
 
-def _reject_repeated_history(decisions) -> None:
-    h = _repeated_key(decisions)
-    if h is not None:
-        raise InputError(f"policy names history {h} twice")
+    def __post_init__(self):
+        seen = set()
+        for key, _ in getattr(self, self._field):
+            if key in seen:
+                raise InputError(self._repeated.format(key))
+            seen.add(key)
+
+    @cached_property
+    def _map(self) -> dict:
+        return dict(getattr(self, self._field))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._map == other._map
+
+    def __hash__(self) -> int:
+        return hash(frozenset(getattr(self, self._field)))
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteDist:
+class FiniteDist(_Table):
     """Finite-support distribution with exact rational weights.
 
     Entries keep their construction order (the declaration order of the
-    owning environment) so that serialization is reproducible.  Equality and
-    hashing compare the underlying mapping only, not the entry order.
+    owning environment) so that serialization is reproducible.
 
     A *valid* distribution has strictly positive entries summing to exactly 1;
     `problems` reports deviations instead of raising so that invalid
@@ -77,14 +92,14 @@ class FiniteDist:
     """
 
     entries: tuple[tuple[str, Rat], ...]
+    _field = "entries"
+    _repeated = "duplicate entry {!r} in distribution"
 
     def __post_init__(self):
         for _, value in self.entries:
             if not isinstance(value, (int, Fraction)):
                 raise _inexact(value)
-        key = _repeated_key(self.entries)
-        if key is not None:
-            raise InputError(f"duplicate entry {key!r} in distribution")
+        _Table.__post_init__(self)
 
     @classmethod
     def of(cls, items: Mapping[str, Rat] | Iterable[tuple[str, Rat]]) -> "FiniteDist":
@@ -93,21 +108,17 @@ class FiniteDist:
 
     @classmethod
     def point(cls, x: str) -> "FiniteDist":
-        return cls(((x, Fraction(1)),))
-
-    @cached_property
-    def _map(self) -> dict[str, Rat]:
-        return dict(self.entries)
+        return cls(((x, _ONE),))
 
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.entries)
 
     def prob(self, x: str) -> Rat:
-        return self._map.get(x, Fraction(0))
+        return self._map.get(x, _ZERO)
 
     def total(self) -> Rat:
-        return sum((v for _, v in self.entries), Fraction(0))
+        return sum((v for _, v in self.entries), _ZERO)
 
     def is_point(self) -> bool:
         return len(self.entries) == 1 and self.entries[0][1] == 1
@@ -120,14 +131,6 @@ class FiniteDist:
         if self.total() != 1:
             out.append(f"distribution sum ≠ 1 (got {self.total()})")
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteDist):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.entries))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in self.entries)
@@ -421,17 +424,12 @@ def decision_points(p: Pomdp, m: int) -> tuple[History, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class DeterministicPolicy:
+class DeterministicPolicy(_Table):
     """A total map from the designated reachable decision points to actions."""
 
     decisions: tuple[tuple[History, str], ...]
-
-    def __post_init__(self):
-        _reject_repeated_history(self.decisions)
-
-    @cached_property
-    def _map(self) -> dict[History, str]:
-        return dict(self.decisions)
+    _field = "decisions"
+    _repeated = "policy names history {} twice"
 
     def action_at(self, h: History) -> str:
         try:
@@ -458,31 +456,18 @@ class DeterministicPolicy:
             tuple((h.prefix(t), h.steps[t][0]) for t in range(h.length))
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeterministicPolicy):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.decisions))
-
     def __repr__(self) -> str:
         body = ", ".join(f"{h} -> {a}" for h, a in self.decisions)
         return f"DeterministicPolicy({body})"
 
 
 @dataclass(frozen=True, eq=False)
-class StochasticPolicy:
+class StochasticPolicy(_Table):
     """A map from histories to exact action distributions."""
 
     decisions: tuple[tuple[History, FiniteDist], ...]
-
-    def __post_init__(self):
-        _reject_repeated_history(self.decisions)
-
-    @cached_property
-    def _map(self) -> dict[History, FiniteDist]:
-        return dict(self.decisions)
+    _field = "decisions"
+    _repeated = "policy names history {} twice"
 
     def prob(self, h: History, action: str) -> Rat:
         try:
@@ -494,14 +479,6 @@ class StochasticPolicy:
     def uniform(cls, p: Pomdp, m: int) -> "StochasticPolicy":
         dist = FiniteDist.of([(a, Fraction(1, len(p.actions))) for a in p.actions])
         return cls(tuple((h, dist) for h in decision_points(p, m)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StochasticPolicy):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.decisions))
 
 
 def enumerate_det_policies(p: Pomdp, m: int) -> list[DeterministicPolicy]:

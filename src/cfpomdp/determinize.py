@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
-from .core import FiniteDist, Pomdp, Rat
+from .core import FiniteDist, Pomdp, Rat, _ZERO
 from .envpolicy import BehaviorMap, _NodeIds, _replay_nodes, _trees
 from .errors import DeterminismError
-
-_ZERO = Fraction(0)
 
 
 def is_deterministic(p: Pomdp) -> bool:
@@ -79,14 +77,15 @@ def determinize(p: Pomdp, m: int) -> Pomdp:
             seen[(s, turn)] += 1
 
     init = FiniteDist.of([(names[root], mass) for root, mass in roots.items()])
+    point = cache(FiniteDist.point)  # one row object per target, shared by its rows
     trans = {}
     obs = {}
     for i, name in names.items():
         (_, o), children = nodes[i]
-        obs[name] = FiniteDist.point(o)
+        obs[name] = point(o)
         targets = [names[child] for child in children] if children else [name] * len(p.actions)
         for a, target in zip(actions, targets):
-            trans[(name, a)] = FiniteDist.point(target)
+            trans[(name, a)] = point(target)
     return Pomdp.build(tuple(names.values()), p.actions, p.observations, init, trans, obs)
 
 

@@ -24,14 +24,13 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
+    _ONE,
+    _ZERO,
     _check_horizon,
     _rows_within,
 )
 from .errors import InputError
 from .trajectory import _policy_factor
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,14 +49,13 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
+    _ZERO,
     _check_horizon,
     _rows_within,
 )
 from .envpolicy import BehaviorMap, _behaviors, _product, _trees
 from .errors import InputError, SimilarityError
 from .trajectory import _policy_factor
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)

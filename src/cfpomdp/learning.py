@@ -31,14 +31,13 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .core import History, Pomdp, Rat, _check_horizon, _inexact, as_rational, parse_rational
+from .core import (History, Pomdp, Rat, _ZERO, _check_horizon, _inexact, as_rational,
+                   parse_rational)
 from .determinize import _cells, is_deterministic
 from .envfile import read_text
 from .equivalence import _first_failure, ensure_similar
 from .errors import DeterminismError, InputError
 from .trajectory import _joint
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,8 @@ it; only then does `initial_posterior` re-fold start by start.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import History, Pomdp, Rat, StochasticPolicy
+from .core import History, Pomdp, Rat, StochasticPolicy, _ONE, _ZERO
 from .errors import InputError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _joint(p: Pomdp, h: History, starts: list) -> dict:

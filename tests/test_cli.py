@@ -361,6 +361,22 @@ class TestSimulateCommand:
 
 
 class TestPolicyArguments:
+    def test_learn_transfer_verify_reports_a_difference(self, runner, tmp_path, monkeypatch):
+        import cfpomdp.cli
+
+        monkeypatch.setattr(cfpomdp.cli, "_first_difference",
+                            lambda spec, moved: History.parse("o0 a0 s00"))
+        weights = tmp_path / "w.txt"
+        weights.write_text("s0^00 1\ns0^01 0\ns0^10 1/2\ns0^11 0\n")
+        out = tmp_path / "moved.txt"
+        result = invoke(
+            runner, "learn-transfer", MU_STAR, MU_STAR, "--m", "1",
+            "--weights", str(weights), "-o", str(out), "--verify",
+        )
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            f"wrote {out} (4 weights)", "universality: differs at o0 a0 s00"]
+
     def test_policy_file(self, runner, tmp_path):
         table = tmp_path / "policy.txt"
         table.write_text("o0 -> a0\n")
@@ -415,6 +431,15 @@ class TestPolicyArguments:
         )
         assert result.exit_code == 2
         assert result.stderr.splitlines() == ["error: policy names history o0 twice"]
+
+    def test_entry_without_arrow_exit_two(self, runner):
+        result = invoke(
+            runner, "collection-prob", MU, "--m", "1",
+            "--pair", "o0 a0 s00 ; o0 -> a0, o0 a0 s00",
+        )
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            "error: policy entry needs 'history -> action': 'o0 a0 s00'"]
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_unknown_history_action_in_any_pair_order(self, runner, order):
@@ -590,6 +615,27 @@ class TestFileErrorsExitTwo:
         assert result.stderr.splitlines() == [f"error: {message}: {out!r}"]
         self.check(result)
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("verb", ["determinize", "learn-transfer"])
+    def test_empty_output_checked_before_any_work(self, runner, tmp_path, monkeypatch, verb):
+        # the write opens an empty path as the working directory
+        import cfpomdp.cli
+
+        def engine(*args):
+            raise AssertionError("computed before -o was checked")
+
+        monkeypatch.setattr(cfpomdp.cli, "determinize_env", engine)
+        monkeypatch.setattr(cfpomdp.cli, "transfer", engine)
+        weights = tmp_path / "w.txt"
+        weights.write_text("s0^00 1/2\ns0^01 1/3\ns0^10 0\ns0^11 1\n")
+        argv = {
+            "determinize": ["determinize", MU, "--m", "1", "-o", ""],
+            "learn-transfer": ["learn-transfer", MU_STAR, MU_STAR, "--m", "1",
+                               "--weights", str(weights), "-o", ""],
+        }[verb]
+        result = invoke(runner, *argv)
+        assert result.stderr.splitlines() == ["error: [Errno 21] Is a directory: '.'"]
+        self.check(result)
 
     def test_broken_pipe_is_left_to_click(self, runner, monkeypatch):
         # click quiets a closed stdout and exits 1; the handler must not

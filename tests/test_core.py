@@ -145,6 +145,11 @@ class TestHistory:
         assert h.prefix(t).length == t
         assert h.prefix(t).is_prefix_of(h)
 
+    @pytest.mark.parametrize("t", [-1, 3])
+    def test_prefix_out_of_range(self, t):
+        with pytest.raises(InputError, match=f"^no length-{t} prefix of a length-2 history$"):
+            History.parse("o0 a0 s00 a1 s10").prefix(t)
+
 
 class TestValidate:
     def test_corpus_files_are_valid(self, corpus):
@@ -197,6 +202,21 @@ class TestValidate:
             dict(mu.obs),
         )
         assert any("unknown state 'nowhere' in init" in v for v in validate(broken))
+
+    def test_empty_states_list(self, mu):
+        broken = Pomdp.build((), mu.actions, mu.observations, mu.init, {}, {})
+        assert "empty states list" in validate(broken)
+
+    def test_row_for_unknown_pair(self, mu):
+        trans = {**dict(mu.trans), ("zz", "a0"): FiniteDist.point("s0")}
+        broken = Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, trans, dict(mu.obs))
+        assert validate(broken) == ["transition row for unknown pair (zz, a0)"]
+
+    def test_missing_observation_row(self, mu):
+        obs = dict(mu.obs)
+        del obs["s10"]
+        broken = Pomdp.build(mu.states, mu.actions, mu.observations, mu.init, dict(mu.trans), obs)
+        assert validate(broken) == ["missing observation row at s10"]
 
     def test_large_chain_builds_and_validates(self):
         # 20,000 states: building and validating stay linear in the rows
@@ -340,6 +360,31 @@ class TestPolicies:
         p2 = DeterministicPolicy(((h1, "a1"), (h0, "a0")))
         assert p1 == p2
         assert hash(p1) == hash(p2)
+
+    def test_stochastic_equality_ignores_order(self):
+        h0, h1 = History.parse("o0"), History.parse("o0 a0 s00")
+        half = FiniteDist.of({"a0": Fraction(1, 2), "a1": Fraction(1, 2)})
+        p1 = StochasticPolicy(((h0, half), (h1, FiniteDist.point("a1"))))
+        p2 = StochasticPolicy(((h1, FiniteDist.point("a1")), (h0, half)))
+        assert p1 == p2 and not p1 != p2
+        assert hash(p1) == hash(p2)
+        assert len({p1, p2}) == 1
+        assert p1 != StochasticPolicy(((h0, half), (h1, FiniteDist.point("a0"))))
+
+    def test_stochastic_never_equals_deterministic(self):
+        pi = DeterministicPolicy(((History.parse("o0"), "a0"),))
+        assert pi.as_stochastic() != pi
+        assert pi != pi.as_stochastic()
+        assert len({pi, pi.as_stochastic()}) == 2
+
+    def test_deterministic_repr(self):
+        pi = DeterministicPolicy.script(History.parse("o0 a0 s00 a1 s01"))
+        assert repr(pi) == "DeterministicPolicy(o0 -> a0, o0 a0 s00 -> a1)"
+        assert repr(DeterministicPolicy(())) == "DeterministicPolicy()"
+
+    def test_constant_rejects_unknown_action(self, mu):
+        with pytest.raises(InputError, match="^unknown action 'zz'$"):
+            DeterministicPolicy.constant(mu, 1, "zz")
 
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_repeated_history_rejected(self, kind):

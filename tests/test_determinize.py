@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from cfpomdp import (
 from cfpomdp import envpolicy
 
 from helpers import (
+    aliased_env,
     det_rollouts,
     random_cf_env,
     random_pomdp,
@@ -194,6 +196,30 @@ class TestResolutionTwinOracle:
         assert simulate(mu, 2, [pi], episodes=10, seed=3).episodes == 10
 
 
+class TestTwinRows:
+    # sha256 of the aliased env's twin files as written with a fresh object per row
+    DIGESTS = {
+        1: "1dc1dca13936fb29af203700f87c09d285c29ee867c414d87c971e9fb3a285e6",
+        2: "8ece2d74b5938312f482074b0e52e1c1c7a4f0949624dfaa1986e61627adfa42",
+        3: "bb5f31a6289dff8cfe362cdb39e905abd86b0d2ad26c4928d3569770f8ad84e5",
+        4: "3747bf32475e174141bb0f6be0461b73a95eca6bd531fc332acf7bde4e438612",
+    }
+
+    def test_one_row_object_per_target(self):
+        twin = determinize(aliased_env(), 2)
+        for rows in (twin.trans, twin.obs):
+            by_target = {}
+            for _, dist in rows:
+                by_target.setdefault(dist.entries[0][0], set()).add(id(dist))
+            assert all(len(ids) == 1 for ids in by_target.values())
+            assert len({id(dist) for _, dist in rows}) == len(by_target)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_file_unchanged(self, m):
+        text = serialize_env(determinize(aliased_env(), m))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[m]
+
+
 class TestInitialBehaviorMap:
     def test_mu_star_cells(self, mu_star):
         bm00 = initial_behavior_map(mu_star, "s0^00", 1)
@@ -251,6 +277,12 @@ class TestBehaviorPartition:
         for p in [determinize(mu, 1), determinize(random_pomdp(rng), 2)]:
             part = behavior_partition(p, 1)
             assert sum(mass for _, _, mass in part.cells) == 1
+
+    def test_masses_are_the_behavior_distribution(self, mu, mu_star):
+        for m in (1, 2, 3):
+            twin = determinize(mu, m)
+            for p in (mu_star, twin, minimize(twin, m)):
+                assert behavior_partition(p, m).masses() == behavior_distribution(p, m)
 
     def test_requires_deterministic(self, mu):
         with pytest.raises(DeterminismError):

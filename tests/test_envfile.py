@@ -2,7 +2,9 @@ import pytest
 
 from cfpomdp import (
     EnvFileError,
+    InputError,
     ValidationError,
+    corpus_path,
     determinize,
     load_corpus,
     parse_env,
@@ -140,3 +142,9 @@ class TestParsing:
         text = MINIMAL.replace("trans: s a -> t 1", "trans: s a -> t 1/3")
         p = parse_env(text, validate_result=False)
         assert p.trans_dist("s", "a").total() != 1
+
+
+def test_unknown_corpus_name():
+    with pytest.raises(InputError, match=r"^unknown corpus environment 'nope' \(have mu, "
+                                         r"mu-prime, mu-double-prime, mu-star\)$"):
+        corpus_path("nope")

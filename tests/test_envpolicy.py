@@ -212,6 +212,17 @@ class TestEnvPolicyProb:
         with pytest.raises(InputError):
             env_policy_prob(mu, ep)
 
+    def test_unknown_symbol_in_a_choice_rejected(self, mu):
+        good = mu_ep(0, 1)
+        stray_state = make_ep("s0", {("s0", "a0", 1): "zz", ("s0", "a1", 1): "s11"},
+                              dict(good.obs_choice), 1)
+        with pytest.raises(InputError, match=r"^unknown symbol in choice \(s0,a0\)->zz$"):
+            env_policy_prob(mu, stray_state)
+        stray_obs = make_ep("s0", dict(good.trans_choice),
+                            {**dict(good.obs_choice), ("s0", 0): "zz"}, 1)
+        with pytest.raises(InputError, match=r"^unknown symbol in choice \(s0\)->zz$"):
+            env_policy_prob(mu, stray_obs)
+
     def test_matches_enumerated_probabilities(self, rng):
         p = random_pomdp(rng)
         for ep, prob in enumerate_support(p, 2):
@@ -267,6 +278,17 @@ class TestHistoryProbGivenEp:
         with pytest.raises(InputError, match=r"no choice at \(s0, a0, 1\)"):
             history_prob_given_ep(mu, History.parse("o0 a0 s00"), ep, never_a0)
 
+    def test_history_longer_than_the_horizon_rejected(self, mu):
+        h = History.parse("o0 a0 s00 a0 s00")
+        with pytest.raises(InputError,
+                           match="^history length 2 exceeds environment policy horizon 1$"):
+            history_prob_given_ep(mu, h, mu_ep(0, 1), StochasticPolicy.uniform(mu, 2))
+
+    def test_missing_observation_choice(self):
+        with pytest.raises(InputError,
+                           match=r"^environment policy has no observation choice at \(s0, 1\)$"):
+            mu_ep(0, 1).obs_at("s0", 1)
+
     def test_two_views_consistency(self, corpus, rng):
         # mixing the per-resolution probabilities with the resolution prior
         # reproduces the plain history probability
@@ -293,6 +315,11 @@ class TestHistoryProbGivenEp:
 
 
 class TestEnvPolicyPosterior:
+    def test_horizon_shorter_than_the_history_rejected(self, mu):
+        h = History.parse("o0 a0 s00 a0 s00")
+        with pytest.raises(InputError, match=r"^posterior horizon 1 shorter than history \(2\)$"):
+            env_policy_posterior(mu, h, StochasticPolicy.uniform(mu, 2), 1)
+
     def test_mu_two_consistent(self, mu):
         pi = DeterministicPolicy.constant(mu, 1, "a0").as_stochastic()
         post = env_policy_posterior(mu, History.parse("o0 a0 s00"), pi)

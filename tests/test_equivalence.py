@@ -345,6 +345,10 @@ class TestCheckEquivOracle:
 
 
 class TestCollectionProb:
+    def test_empty_query_rejected(self):
+        with pytest.raises(InputError, match="^a collection query needs at least one pair$"):
+            CollectionQuery(())
+
     def test_mu_pinning_both_branches(self, mu):
         query = CollectionQuery((
             (History.parse("o0 a0 s00"), const(mu, 1, "a0")),

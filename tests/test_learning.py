@@ -89,6 +89,11 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             PureLearningSpec.of(mu_star, weights, 1)
 
+    def test_rejects_a_repeated_state(self, mu_star):
+        weights = tuple((s, Fraction(1, 2)) for s in STAR_STATES) + (("s0^00", Fraction(0)),)
+        with pytest.raises(InputError, match="^duplicate state in weight vector$"):
+            PureLearningSpec(mu_star, weights, 1)
+
 
 class TestEvaluate:
     def test_before_acting(self, mu_star):

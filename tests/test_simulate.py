@@ -86,3 +86,13 @@ def test_action_outside_the_behavior_map(mu):
     stray = DeterministicPolicy(((History.parse("o0"), "zz"),))
     with pytest.raises(InputError, match="^action 'zz' outside the behavior map$"):
         simulate(mu, 1, [DeterministicPolicy.constant(mu, 1, "a0"), stray], 10, 1)
+
+
+def test_no_policies_rejected(mu):
+    with pytest.raises(InputError, match="^need at least one agent policy$"):
+        simulate(mu, 1, [], 10, 1)
+
+
+def test_no_episodes_rejected(mu):
+    with pytest.raises(InputError, match="^episodes must be >= 1, got 0$"):
+        simulate(mu, 1, [DeterministicPolicy.constant(mu, 1, "a0")], 0, 1)
