@@ -351,11 +351,11 @@ def validate(p: Pomdp) -> list[str]:
     return out
 
 
-def _check_horizon(m, least: int, name: str = "turn count") -> None:
-    """A horizon is an `int`, not a `bool`, and at least `least`."""
+def _check_horizon(m, least: int | None, name: str = "turn count") -> None:
+    """A horizon is an `int`, not a `bool`, and at least `least` if not None."""
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"{name} must be an int, got {m!r}")
-    if m < least:
+    if least is not None and m < least:
         raise InputError(f"{name} must be >= {least}, got {m}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 
 from .core import (
@@ -24,7 +24,6 @@ from .core import (
     Pomdp,
     Rat,
     StochasticPolicy,
-    _ONE,
     _ZERO,
     _check_horizon,
     _rows_within,
@@ -102,10 +101,19 @@ class EnvironmentPolicy:
 def _product(rows) -> list[tuple[tuple, Rat]]:
     """Every choice of one (item, weight) per row, weighted by their product;
     the first row varies slowest."""
-    out = [((), _ONE)]
+    out = [((), 1)]
     for row in rows:
         out = [(xs + (x,), w if v == 1 else w * v) for xs, w in out for x, v in row]
     return out
+
+
+def _over(row) -> tuple[int, list[tuple]]:
+    """A row's (item, exact weight) entries as integers over the lcm of their denominators."""
+    den = lcm(*(w.denominator for _, w in row))
+    return den, [(x, w.numerator * (den // w.denominator)) for x, w in row]
+
+
+_LEFT = object()  # where a walk's history has led once a resolution leaves it
 
 
 class _Turns(dict):
@@ -113,75 +121,87 @@ class _Turns(dict):
     (turn t, states visited at t in declared order) key holds the `_product`
     of observation picks ((s, t), o) and, before turn m and only if every
     state has one, of successor picks ((s, a, t + 1), s2) on visited x
-    actions, each with the sorted states it visits.  Rows come from one
-    `_rows_within` sweep, so each is read once per call and a missing one
+    actions, each with the sorted states it visits, as (denominator, picks)
+    for each kind.  Rows come from one `_rows_within` sweep, each scaled to
+    integers once (`_over`), so each is read once per call and a missing one
     raises before any key is built.  Like `_NodeIds` it makes no reference
     cycle."""
 
     def __init__(self, p: Pomdp, m: int):
         _check_horizon(m, 1)
         self.p, self.m = p, m
-        self.obs, self.trans = _rows_within(p, m)
+        self.obs, self.trans = [{k: _over(row) for k, row in rows.items()}
+                                for rows in _rows_within(p, m)]
 
-    def __missing__(self, key: tuple[int, tuple[str, ...]]) -> tuple[list, list]:
+    def __missing__(self, key: tuple[int, tuple[str, ...]]) -> tuple[int, list, int, list]:
         t, visited = key
         p = self.p
-        seen = _product([[(((s, t), o), w) for o, w in self.obs[s]] for s in visited])
+        seen = _product([[(((s, t), o), w) for o, w in self.obs[s][1]] for s in visited])
+        rows = [(s, a) for s in visited for a in p.actions]
         moves = [] if t == self.m or not seen else [
             (ms, v, tuple(sorted({s2 for _, s2 in ms}, key=p.state_index.__getitem__)))
-            for ms, v in _product([[(((s, a, t + 1), s2), v) for s2, v in self.trans[s, a]]
-                                   for s in visited for a in p.actions])]
-        return self.setdefault(key, (seen, moves))
+            for ms, v in _product([[(((s, a, t + 1), s2), v) for s2, v in self.trans[s, a][1]]
+                                   for s, a in rows])]
+        return self.setdefault(key, (prod(self.obs[s][0] for s in visited), seen,
+                                     prod(self.trans[k][0] for k in rows) if moves else 1, moves))
 
-    def walk(self, t: int, visited: tuple[str, ...], mass: Rat, init: str, trans: tuple, obs: tuple):
-        """`_iter_support` below one key, reached with this mass and these choices."""
-        seen_picks, moves = self[t, visited]
+    def walk(self, t: int, visited: tuple[str, ...], num: int, den: int, init: str,
+             trans: tuple, obs: tuple, at, h: History | None):
+        """`_iter_support` below one key, reached with mass num/den (no gcd on
+        the way down) and these choices; `at` is where h's actions have led at
+        turn t, or `_LEFT` once an observation differed (a state may be "")."""
+        d_seen, seen_picks, d_moves, moves = self[t, visited]
+        den, below = den * d_seen, den * d_seen * d_moves
+        i = j = None  # at's position in the observation picks, its successor's in a move
+        if at is not _LEFT and t <= h.length:
+            i, want = visited.index(at), h.steps[t - 1][1] if t else h.initial_obs
+            if t < h.length:
+                j = i * len(self.p.actions) + self.p.action_index[h.steps[t][0]]
         for seen, w in seen_picks:
-            w = mass if w == 1 else mass * w
+            w *= num
+            here = at if i is None or seen[i][1] == want else _LEFT
             if t == self.m:
-                yield EnvironmentPolicy(init, trans, obs + seen, t), w
+                yield EnvironmentPolicy(init, trans, obs + seen, t), w, den, here is not _LEFT
+            follow = j is not None and here is not _LEFT
             for ms, v, nxt in moves:
-                yield from self.walk(t + 1, nxt, w if v == 1 else w * v, init, trans + ms, obs + seen)
+                yield from self.walk(t + 1, nxt, w * v, below, init, trans + ms, obs + seen,
+                                     ms[j][1] if follow else here, h)
 
 
-def _iter_support(p: Pomdp, m: int):
-    """Depth-first enumeration of reduced environment policies with their
-    aggregated probabilities, in canonical order: initial state first."""
+def _iter_support(p: Pomdp, m: int, h: History | None = None):
+    """Depth-first enumeration of reduced environment policies in canonical order, initial
+    state first: (policy, its mass as numerator and denominator, whether it generates h)."""
     turns = _Turns(p, m)
     for s0, w0 in p.init.entries:
         if w0 > 0:
-            yield from turns.walk(0, (s0,), w0, s0, (), ())
+            yield from turns.walk(0, (s0,), w0.numerator, w0.denominator, s0, (), (),
+                                  _LEFT if h is None else s0, h)
 
 
 def enumerate_support(p: Pomdp, m: int) -> tuple[tuple[EnvironmentPolicy, Rat], ...]:
     """All reduced environment policies of positive probability, with their
     aggregated probabilities, which are positive and sum to exactly 1, in
     the canonical order, which the deterministic twin's initial states share.
-    Each call recomputes the support: nothing is cached.  Its callers are
-    `env_policy_posterior` and `env-policies`, whose output is per resolution."""
-    return tuple(_iter_support(p, m))
+    Each call recomputes the support: nothing is cached.  Its caller is
+    `env-policies`, whose output is per resolution."""
+    return tuple((ep, Fraction(num, den)) for ep, num, den, _ in _iter_support(p, m))
 
 
-def _over(weights) -> tuple[int, list[int]]:
-    """Exact weights as integers over one denominator, the lcm of theirs."""
-    den = lcm(*(w.denominator for w in weights))
-    return den, [w.numerator * (den // w.denominator) for w in weights]
-
-
-def _behaviors(p: Pomdp, m: int, label, table: dict[tuple, int]) -> dict[int, Rat]:
+def _behaviors(p: Pomdp, m: int, label, table: dict[tuple, int]) -> tuple[int, dict[int, int]]:
     """The reduced resolutions' behaviors interned into a caller's table, as
-    in a reduced BDD; returns {root id: mass}.  A node is (label(s, o), child
-    ids in sorted action order), s a state and o its observation, the node
-    shape of `_NodeIds`: in one table equal behaviors get one id, whichever
-    environment and action order they come from, and children precede
-    parents.  Nodes at turn m have no children.
+    in a reduced BDD; returns (den, {root id: mass over den}).  A node is
+    (label(s, o), child ids in sorted action order), s a state and o its
+    observation, the node shape of `_NodeIds`: in one table equal behaviors
+    get one id, whichever environment and action order they come from, and
+    children precede parents.  Nodes at turn m have no children.
 
     No resolution is enumerated: F(t, V), memoized over `_Turns`' keys, is a
     distribution over tuples of node ids, one per state of V, held as
-    (den, {ids: integer mass}).  Each key's observation picks and successor
-    picks are scaled once, each kind over its lcm denominator (`_over`), and
-    children of several successor sets are brought to the lcm of theirs, so
-    a `Fraction` is built once per root.  With label (s, o), which fixes the
+    (den, {ids: integer mass}).  A child vector is one flat tuple of child
+    ids, state by state in sorted action order, read from a successor key's
+    ids by one `itemgetter` per move; children of several successor sets
+    are brought to the lcm of their denominators.  No `Fraction` is built:
+    callers divide at their edge.  With label (s, o), which fixes the
     resolution, the roots are `enumerate_support`'s, in its order and with
     its masses.
     """
@@ -193,53 +213,47 @@ def _behaviors(p: Pomdp, m: int, label, table: dict[tuple, int]) -> dict[int, Ra
     def dist(t: int, visited: tuple[str, ...]) -> tuple[int, dict[tuple[int, ...], int]]:
         if (t, visited) in memo:
             return memo[t, visited]
-        seen_picks, moves = turns[t, visited]
-        den, children = 1, ({((),) * len(visited): 1} if t == m else {})
+        d_seen, seen_picks, den, moves = turns[t, visited]
+        children = {(): 1} if t == m else {}
         if moves:
             below = [dist(t + 1, nxt) for _, _, nxt in moves]
             common = lcm(*(d for d, _ in below))
-            den, weights = _over([v for _, v, _ in moves])
             den *= common
-            for (ms, _, nxt), weight, (d, sub) in zip(moves, weights, below):
+            for (ms, weight, nxt), (d, sub) in zip(moves, below):
                 weight *= common // d
                 at = [nxt.index(s2) for _, s2 in ms]
-                # per state of V, its children's positions in nxt in sorted
-                # action order: a tuple even for one action
-                rows = [itemgetter(*[at[i + j] for j in slots]) if n > 1
-                        else itemgetter(slice(at[i], at[i] + 1)) for i in range(0, len(at), n)]
+                flat = [at[i + j] for i in range(0, len(at), n) for j in slots]
+                pick = itemgetter(*flat if len(flat) > 1 else [slice(flat[0], flat[0] + 1)])
                 for key, mass in sub.items():
-                    vec = tuple([row(key) for row in rows])
+                    vec = pick(key)
                     children[vec] = children.get(vec, 0) + weight * mass
-        d_seen, weights = _over([w for _, w in seen_picks])
         out = {}
-        for (seen, _), w in zip(seen_picks, weights):
+        for seen, w in seen_picks:
+            labels = [(label(s, o), k) for ((s, _), o), k in zip(seen, range(0, len(seen) * n, n))]
             for vec, mass in children.items():
-                key = tuple([table.setdefault((label(s, o), kids), len(table))
-                             for ((s, _), o), kids in zip(seen, vec)])
+                key = tuple([table.setdefault((x, vec[k:k + n]), len(table)) for x, k in labels])
                 out[key] = w * mass
         memo[t, visited] = d_seen * den, out
         return memo[t, visited]
 
-    starts = [(s0, w0) for s0, w0 in p.init.entries if w0 > 0]
+    den, starts = _over([(s0, w0) for s0, w0 in p.init.entries if w0 > 0])
     below = [dist(0, (s0,)) for s0, _ in starts]
     common = lcm(*(d for d, _ in below))
-    den, weights = _over([w0 for _, w0 in starts])
     masses: dict[int, int] = {}
-    for w0, (d, sub) in zip(weights, below):
+    for (_, w0), (d, sub) in zip(starts, below):
         w0 *= common // d
         for (root,), mass in sub.items():
             masses[root] = masses.get(root, 0) + w0 * mass
     del dist  # it refers to itself: break the cycle so its memo dies here
-    den *= common
-    return {root: Fraction(mass, den) for root, mass in masses.items()}
+    return den * common, masses
 
 
 def _replay_nodes(p: Pomdp, m: int) -> tuple[list[tuple], dict[int, Rat]]:
     """`_behaviors` labelled by (state, observation), which fixes each
     resolution: its nodes in id order and {root id: mass}."""
     table: dict[tuple, int] = {}
-    roots = _behaviors(p, m, lambda s, o: (s, o), table)
-    return list(table), roots
+    den, roots = _behaviors(p, m, lambda s, o: (s, o), table)
+    return list(table), {root: Fraction(mass, den) for root, mass in roots.items()}
 
 
 def env_policy_prob(p: Pomdp, ep: EnvironmentPolicy) -> Rat:
@@ -292,22 +306,21 @@ def env_policy_posterior(
 ) -> dict[EnvironmentPolicy, Rat]:
     """Posterior over the reduced support of horizon `m` (default: covering
     `h`) given `h`; all-zero when `h` is impossible under `pi`.  The policy's
-    factor cancels, so this is the prior on the resolutions generating `h`:
-    the deterministic twin's `initial_posterior` over its initial states."""
+    factor cancels, so this is the prior on the resolutions generating `h`
+    (decided in the walk), the deterministic twin's `initial_posterior`."""
     if m is None:
         m = max(h.length, 1)
+    _check_horizon(m, None)
     if m < h.length:
         raise InputError(f"posterior horizon {m} shorter than history ({h.length})")
     p.check_history_symbols(h)
-    support = enumerate_support(p, m)
-    generating = []
-    for ep, _ in support:  # choices read through local dicts: `ep` caches none
-        obs, trans = dict(ep.obs_choice), dict(ep.trans_choice)
-        generating.append(_generates(h, ep.init_state, lambda *k: obs[k], lambda *k: trans[k]))
-    total = sum((prior for (_, prior), g in zip(support, generating) if g), _ZERO)
+    support = list(_iter_support(p, m, h))
+    common = lcm(*{den for _, _, den, generated in support if generated})
+    total = sum(num * (common // den) for _, num, den, generated in support if generated)
     if total == 0 or _policy_factor(h, pi) == 0:
-        return {ep: _ZERO for ep, _ in support}
-    return {ep: prior / total if g else _ZERO for (ep, prior), g in zip(support, generating)}
+        return {ep: _ZERO for ep, *_ in support}
+    return {ep: Fraction(num * (common // den), total) if generated else _ZERO
+            for ep, num, den, generated in support}
 
 
 class _NodeIds(dict):

@@ -27,9 +27,9 @@ two distributions.  `envpolicy._behaviors`, a dynamic program over (turn,
 visited states) on integer masses, enumerates no resolution; its nodes,
 labelled by observation, are the behavior maps.  `check_cf_equiv` has it
 intern both environments' nodes, children in sorted action order, into one
-hash-consed table, where equal maps get equal ids, and compares
-{root id: mass}; trees are unfolded (`envpolicy._trees`) only for the maps
-tied for the witness, and for every map by `behavior_distribution`.
+hash-consed table, where equal maps get equal ids, and compares integer
+{root id: mass} over one denominator; trees (`envpolicy._trees`) and
+`Fraction`s are built only for the witness, and by `behavior_distribution`.
 `collection_prob` needs only the few histories it is asked about: agents
 with one prefix share a state, so one forward pass over assignments
 {distinct prefix: state} (`_coupled_weight`) gives the mass without
@@ -331,6 +331,7 @@ def collection_prob(p: Pomdp, q: CollectionQuery, m: int) -> Rat:
     history (`_coupled_weight`, linear in m for a fixed collection), times
     the policies' factors, read only if it is positive.  Every row that a
     horizon-m resolution reads must exist."""
+    _check_horizon(m, None)
     for h, _ in q.pairs:
         if h.length > m:
             raise InputError(f"history {h} longer than the horizon {m} of the query")
@@ -352,9 +353,9 @@ def behavior_distribution(p: Pomdp, m: int) -> dict[BehaviorMap, Rat]:
     labelled by observation, are the maps, unfolded into trees here.
     """
     table: dict[tuple, int] = {}
-    roots = _behaviors(p, m, lambda s, o: o, table)
+    den, roots = _behaviors(p, m, lambda s, o: o, table)
     maps = _trees(table, p.actions, roots)
-    return {maps[i]: mass for i, mass in roots.items()}
+    return {maps[i]: Fraction(mass, den) for i, mass in roots.items()}
 
 
 def _witness_query(bm: BehaviorMap) -> CollectionQuery:
@@ -370,23 +371,24 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     distributions; on failure, return a collection query whose joint
     probabilities are the two differing masses.
 
-    Both environments' maps are interned into one table by `_behaviors`,
-    so the distributions are equal exactly when {root id: mass} is, and no
-    tree is built for the verdict.  Among differing maps the witness
-    prefers one that is impossible in one environment (smallest minimum
-    mass), breaking ties by behavior tree, unfolded only for the maps tied
-    at that mass; the returned query re-evaluates, via `collection_prob`,
-    to exactly the two reported values.
+    Both environments' maps are interned into one table by `_behaviors`, so
+    the distributions are equal exactly when {root id: integer mass} is, over
+    the lcm of both denominators.  Among differing maps the witness prefers
+    one that is impossible in one environment (smallest minimum mass),
+    breaking ties by behavior tree, unfolded only for the maps tied at that
+    mass; its two masses are the only `Fraction`s built.  The returned query
+    re-evaluates, via `collection_prob`, to exactly the two reported values.
     """
     ensure_similar(p1, p2)
     table: dict[tuple, int] = {}
-    r1 = _behaviors(p1, m, lambda s, o: o, table)
-    r2 = _behaviors(p2, m, lambda s, o: o, table)
+    (d1, r1), (d2, r2) = [_behaviors(p, m, lambda s, o: o, table) for p in (p1, p2)]
+    den = lcm(d1, d2)
+    r1, r2 = [{i: x * (den // d) for i, x in r.items()} for d, r in ((d1, r1), (d2, r2))]
     if r1 == r2:
         return Verdict(equivalent=True)
     differing = {}
     for i in r1.keys() | r2.keys():
-        masses = r1.get(i, _ZERO), r2.get(i, _ZERO)
+        masses = r1.get(i, 0), r2.get(i, 0)
         if masses[0] != masses[1]:
             differing[i] = masses
     low = min(min(masses) for masses in differing.values())
@@ -397,7 +399,7 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
         equivalent=False,
         witness=CollectionWitness(
             query=_witness_query(maps[i]),
-            value_left=differing[i][0],
-            value_right=differing[i][1],
+            value_left=Fraction(differing[i][0], den),
+            value_right=Fraction(differing[i][1], den),
         ),
     )

@@ -254,8 +254,8 @@ def behavior_dp(p: Pomdp, m: int) -> tuple[list, dict]:
     """The whole behavior DP labelled by observation: its interned nodes in
     id order, children in sorted action order, and {root id: mass}."""
     table: dict[tuple, int] = {}
-    roots = _behaviors(p, m, lambda s, o: o, table)
-    return list(table), roots
+    den, roots = _behaviors(p, m, lambda s, o: o, table)
+    return list(table), {root: Fraction(mass, den) for root, mass in roots.items()}
 
 
 def behavior_collection_prob(p: Pomdp, q, m: int, dp=None) -> Fraction:
@@ -559,6 +559,20 @@ def relabel_states(p: Pomdp, prefix: str = "r_") -> Pomdp:
             (name[s], a): {name[s2]: w for s2, w in dist.entries}
             for (s, a), dist in p.trans
         },
+        {name[s]: {o: w for o, w in dist.entries} for s, dist in p.obs},
+    )
+
+
+def rename_state(p: Pomdp, old: str, new: str) -> Pomdp:
+    """`p` with state `old` renamed to `new`, which may be any name `validate`
+    accepts, the empty string included."""
+    name = {s: new if s == old else s for s in p.states}
+    return Pomdp.build(
+        tuple(name[s] for s in p.states),
+        p.actions,
+        p.observations,
+        {name[s]: w for s, w in p.init.entries},
+        {(name[s], a): {name[s2]: w for s2, w in dist.entries} for (s, a), dist in p.trans},
         {name[s]: {o: w for o, w in dist.entries} for s, dist in p.obs},
     )
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -432,3 +433,28 @@ class TestHorizonArgument:
     def test_rejected_with_input_error(self, corpus, call):
         with pytest.raises(InputError, match=r"(turn count|horizon) must be an int, got "):
             call(corpus)
+
+    @pytest.mark.parametrize("m", ["3", 1.0, True], ids=repr)
+    @pytest.mark.parametrize("name", ["env_policy_posterior", "collection_prob"])
+    def test_checked_before_the_history_comparison(self, mu, name, m):
+        # a horizon compared with a history's length first raised TypeError on "3"
+        h = History.parse("o0 a0 s00")
+        pi = StochasticPolicy.uniform(mu, 1)
+        call = {"env_policy_posterior": lambda: env_policy_posterior(mu, h, pi, m),
+                "collection_prob": lambda: collection_prob(mu, CollectionQuery(((h, pi),)), m)}
+        with pytest.raises(InputError, match=rf"^turn count must be an int, got {re.escape(repr(m))}$"):
+            call[name]()
+
+    def test_int_horizon_errors_unchanged(self, mu):
+        h = History.parse("o0 a0 s00")
+        pi = StochasticPolicy.uniform(mu, 1)
+        with pytest.raises(InputError, match=r"^posterior horizon 0 shorter than history \(1\)$"):
+            env_policy_posterior(mu, h, pi, 0)
+        with pytest.raises(InputError, match=r"^posterior horizon -1 shorter than history \(0\)$"):
+            env_policy_posterior(mu, h.prefix(0), pi, -1)
+        with pytest.raises(InputError, match=r"^turn count must be >= 1, got 0$"):
+            env_policy_posterior(mu, h.prefix(0), pi, 0)
+        with pytest.raises(InputError, match=r"^history o0 a0 s00 longer than the horizon 0 of the query$"):
+            collection_prob(mu, CollectionQuery(((h, pi),)), 0)
+        with pytest.raises(InputError, match=r"^turn count must be >= 1, got 0$"):
+            collection_prob(mu, CollectionQuery(((h.prefix(0), pi),)), 0)

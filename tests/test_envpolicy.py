@@ -34,6 +34,7 @@ from helpers import (
     random_stochastic_policy,
     reachable_up_to,
     reduce_resolution,
+    rename_state,
     resolution_rollouts,
     reversed_alphabets,
     rollout,
@@ -365,11 +366,12 @@ class TestEnvPolicyPosterior:
             history_prob_given_ep(mu, generated, support[0][0], pi)
 
     def test_unknown_symbol_raises_before_enumeration(self, monkeypatch):
-        # at m = 4 the aliased env has 91,828 resolutions: none is built
-        def refuse(p, m):
+        # at m = 4 the aliased env has 91,828 resolutions: none is built, and
+        # the turn table's walk is the only producer of resolutions
+        def refuse(*args):
             raise AssertionError("resolutions enumerated")
 
-        monkeypatch.setattr(envpolicy, "enumerate_support", refuse)
+        monkeypatch.setattr(envpolicy._Turns, "walk", refuse)
         p = aliased_env()
         pi = DeterministicPolicy.constant(p, 1, "a0").as_stochastic()
         for text, message in (("y zz x", "unknown action 'zz'"), ("y a0 w", "unknown observation 'w'"),
@@ -405,6 +407,53 @@ class TestEnvPolicyPosterior:
                     assert list(env_policy_posterior(p, h, pi, m).values()) == [
                         post[s] for s in twin.init.support
                     ], (p, m, h)
+
+
+class TestPosteriorGenerationOracle:
+    """`env_policy_posterior` checks generation inside the walk; the oracle
+    is the per-resolution rule: prior x [`history_prob_given_ep` > 0] over
+    its total, on `enumerate_support`."""
+
+    @staticmethod
+    def reference(p, h, m):
+        pi = StochasticPolicy.uniform(p, m)
+        support = enumerate_support(p, m)
+        kept = [prior if history_prob_given_ep(p, h, ep, pi) > 0 else 0 for ep, prior in support]
+        total = sum(kept, Fraction(0))
+        return [Fraction(0) if total == 0 else w / total for w in kept]
+
+    def test_matches_the_per_resolution_rule(self, corpus, rng):
+        environments = list(corpus.values()) + [
+            random_pomdp(rng, horizon_cap=3, resolution_cap=200) for _ in range(4)
+        ] + [random_cf_env(rng, n, resolution_cap=800) for n in (2, 3)]
+        # a state named "" is a valid name, not a missing one
+        environments += [rename_state(p, p.states[0], "") for p in environments]
+        lengths = set()
+        for p in environments:
+            for m in (1, 2, 3):
+                reachable = reachable_up_to(p, m)
+                histories = rng.sample(reachable, min(len(reachable), 12))
+                histories += [History(o) for o in p.observations]
+                histories += [h.extend(a, o) for h in histories[:4] if h.length < m
+                              for a in p.actions[:1] for o in p.observations]
+                for h in histories:
+                    post = env_policy_posterior(p, h, StochasticPolicy.uniform(p, m), m)
+                    assert list(post.values()) == self.reference(p, h, m), (p, m, h)
+                    lengths.add((h.length == 0, h.length < m, any(post.values())))
+        # length 0, shorter than m and equal to m; possible and impossible
+        assert {(True, True, True), (False, True, True), (False, False, True),
+                (False, True, False), (False, False, False)} <= lengths
+
+    def test_state_named_empty_string(self):
+        # "" leads to s, which shows y: x a x is impossible, x a y certain
+        p = Pomdp.build(("", "s"), ("a",), ("x", "y"), {"": 1},
+                        {("", "a"): {"s": 1}, ("s", "a"): {"s": 1}}, {"": {"x": 1}, "s": {"y": 1}})
+        pi = StochasticPolicy.uniform(p, 2)
+        for text, expected in (("x a x", [0]), ("x a y", [1]), ("x", [1]), ("y", [0]),
+                               ("x a y a x", [0]), ("x a y a y", [1])):
+            h = History.parse(text)
+            assert list(env_policy_posterior(p, h, pi, 2).values()) == expected, text
+            assert expected == self.reference(p, h, 2), text
 
 
 class TestBehaviorMap:
