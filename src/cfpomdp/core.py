@@ -469,6 +469,12 @@ class StochasticPolicy(_Table):
     _field = "decisions"
     _repeated = "policy names history {} twice"
 
+    def __post_init__(self):
+        for h, dist in self.decisions:
+            if not isinstance(dist, FiniteDist):
+                raise InputError(f"policy decision at {h} is not a FiniteDist: {dist!r}")
+        _Table.__post_init__(self)
+
     def prob(self, h: History, action: str) -> Rat:
         try:
             return self._map[h].prob(action)

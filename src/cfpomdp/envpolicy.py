@@ -46,6 +46,7 @@ class EnvironmentPolicy:
     trans_choice: tuple[tuple[tuple[str, str, int], str], ...]
     obs_choice: tuple[tuple[tuple[str, int], str], ...]
     horizon: int
+    _hash = None  # set by `_Turns.walk` or by the first `hash`; never pickled
 
     @cached_property
     def _trans(self) -> dict[tuple[str, str, int], str]:
@@ -72,9 +73,10 @@ class EnvironmentPolicy:
             ) from None
 
     def _key(self) -> tuple:
-        """The choices read as mappings, a later repeated choice winning.  Not
-        cached, nor are `env_policy_posterior`'s lookups: kept on every
-        resolution of a posterior, a cache would double its memory."""
+        """The choices read as mappings, a later repeated choice winning, for
+        `__eq__`.  Not cached, nor are `env_policy_posterior`'s lookups: kept
+        on every resolution of a posterior, a cache would double its memory.
+        Only the hash, one int, is stored."""
         return (self.init_state, self.horizon, frozenset(dict(self.trans_choice).items()),
                 frozenset(dict(self.obs_choice).items()))
 
@@ -84,7 +86,16 @@ class EnvironmentPolicy:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        """`_hashed` over the choices read as mappings, so equal resolutions
+        hash alike; the walk sets it from sums it carries."""
+        if self._hash is None:
+            mixed = _mixed(dict(self.trans_choice).items()) + _mixed(dict(self.obs_choice).items())
+            object.__setattr__(self, "_hash", _hashed(self.init_state, self.horizon, mixed))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: recompute after unpickling
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def describe(self) -> str:
         trans = " ".join(
@@ -96,6 +107,20 @@ class EnvironmentPolicy:
             for (s, i), o in sorted(self.obs_choice, key=lambda kv: (kv[0][1], kv[0][0]))
         )
         return f"init {self.init_state} | trans {trans or '-'} | obs {obs or '-'}"
+
+
+_MASK = (1 << 64) - 1
+
+
+def _mixed(items) -> int:
+    """The sum of the items' hashes, each mixed first as `frozenset` mixes
+    them: a plain sum of tuple hashes collides often."""
+    return sum((((h ^ 89869747) ^ (h << 16)) * 3644798167) & _MASK for h in map(hash, items))
+
+
+def _hashed(init: str, horizon: int, mixed: int) -> int:
+    """A resolution's hash from `_mixed` over all its choices."""
+    return hash((init, horizon, mixed & _MASK))
 
 
 def _product(rows) -> list[tuple[tuple, Rat]]:
@@ -124,12 +149,13 @@ class _Turns(dict):
     actions, each with the sorted states it visits, as (denominator, picks)
     for each kind.  Rows come from one `_rows_within` sweep, each scaled to
     integers once (`_over`), so each is read once per call and a missing one
-    raises before any key is built.  Like `_NodeIds` it makes no reference
-    cycle."""
+    raises before any key is built.  `sums` holds, for the walk alone, each
+    key's `_mixed` sums per observation pick and per move.  Like `_NodeIds`
+    it makes no reference cycle."""
 
     def __init__(self, p: Pomdp, m: int):
         _check_horizon(m, 1)
-        self.p, self.m = p, m
+        self.p, self.m, self.sums = p, m, {}
         self.obs, self.trans = [{k: _over(row) for k, row in rows.items()}
                                 for rows in _rows_within(p, m)]
 
@@ -146,26 +172,33 @@ class _Turns(dict):
                                      prod(self.trans[k][0] for k in rows) if moves else 1, moves))
 
     def walk(self, t: int, visited: tuple[str, ...], num: int, den: int, init: str,
-             trans: tuple, obs: tuple, at, h: History | None):
+             trans: tuple, obs: tuple, mixed: int, at, h: History | None):
         """`_iter_support` below one key, reached with mass num/den (no gcd on
-        the way down) and these choices; `at` is where h's actions have led at
-        turn t, or `_LEFT` once an observation differed (a state may be "")."""
+        the way down), these choices and their `_mixed` sum, which hashes each
+        resolution yielded; `at` is where h's actions have led at turn t, or
+        `_LEFT` once an observation differed (a state may be "")."""
         d_seen, seen_picks, d_moves, moves = self[t, visited]
+        if (t, visited) not in self.sums:
+            self.sums[t, visited] = ([_mixed(seen) for seen, _ in seen_picks],
+                                     [_mixed(ms) for ms, _, _ in moves])
+        seen_mixed, moves_mixed = self.sums[t, visited]
         den, below = den * d_seen, den * d_seen * d_moves
         i = j = None  # at's position in the observation picks, its successor's in a move
         if at is not _LEFT and t <= h.length:
             i, want = visited.index(at), h.steps[t - 1][1] if t else h.initial_obs
             if t < h.length:
                 j = i * len(self.p.actions) + self.p.action_index[h.steps[t][0]]
-        for seen, w in seen_picks:
+        for (seen, w), x in zip(seen_picks, seen_mixed):
             w *= num
             here = at if i is None or seen[i][1] == want else _LEFT
             if t == self.m:
-                yield EnvironmentPolicy(init, trans, obs + seen, t), w, den, here is not _LEFT
+                ep = EnvironmentPolicy(init, trans, obs + seen, t)
+                object.__setattr__(ep, "_hash", _hashed(init, t, mixed + x))
+                yield ep, w, den, here is not _LEFT
             follow = j is not None and here is not _LEFT
-            for ms, v, nxt in moves:
+            for (ms, v, nxt), y in zip(moves, moves_mixed):
                 yield from self.walk(t + 1, nxt, w * v, below, init, trans + ms, obs + seen,
-                                     ms[j][1] if follow else here, h)
+                                     mixed + x + y, ms[j][1] if follow else here, h)
 
 
 def _iter_support(p: Pomdp, m: int, h: History | None = None):
@@ -174,7 +207,7 @@ def _iter_support(p: Pomdp, m: int, h: History | None = None):
     turns = _Turns(p, m)
     for s0, w0 in p.init.entries:
         if w0 > 0:
-            yield from turns.walk(0, (s0,), w0.numerator, w0.denominator, s0, (), (),
+            yield from turns.walk(0, (s0,), w0.numerator, w0.denominator, s0, (), (), 0,
                                   _LEFT if h is None else s0, h)
 
 

@@ -28,8 +28,9 @@ visited states) on integer masses, enumerates no resolution; its nodes,
 labelled by observation, are the behavior maps.  `check_cf_equiv` has it
 intern both environments' nodes, children in sorted action order, into one
 hash-consed table, where equal maps get equal ids, and compares integer
-{root id: mass} over one denominator; trees (`envpolicy._trees`) and
-`Fraction`s are built only for the witness, and by `behavior_distribution`.
+{root id: mass} over one denominator; a tree (`envpolicy._trees`) and
+`Fraction`s are built only for the witness, chosen among tied maps by
+comparing interned ids (`_least`), and by `behavior_distribution`.
 `collection_prob` needs only the few histories it is asked about: agents
 with one prefix share a state, so one forward pass over assignments
 {distinct prefix: state} (`_coupled_weight`) gives the mass without
@@ -366,6 +367,22 @@ def _witness_query(bm: BehaviorMap) -> CollectionQuery:
     )
 
 
+def _least(nodes: list[tuple], ids: set[int]) -> int:
+    """The one of `ids`, nodes of one depth in an intern table listed in id
+    order, whose tree is least in pre-order, found without unfolding any:
+    keep the least label, then, child slot by child slot, the ids whose
+    child there is the least of the survivors' children.  Distinct ids of
+    one table are distinct trees, so one id is left."""
+    low = min(nodes[i][0] for i in ids)
+    ids = {i for i in ids if nodes[i][0] == low}
+    slot = 0
+    while len(ids) > 1:
+        best = _least(nodes, {nodes[i][1][slot] for i in ids})
+        ids = {i for i in ids if nodes[i][1][slot] == best}
+        slot += 1
+    return ids.pop()
+
+
 def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     """Decide m-counterfactual equivalence by comparing behavior-map
     distributions; on failure, return a collection query whose joint
@@ -375,9 +392,11 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
     the distributions are equal exactly when {root id: integer mass} is, over
     the lcm of both denominators.  Among differing maps the witness prefers
     one that is impossible in one environment (smallest minimum mass),
-    breaking ties by behavior tree, unfolded only for the maps tied at that
-    mass; its two masses are the only `Fraction`s built.  The returned query
-    re-evaluates, via `collection_prob`, to exactly the two reported values.
+    breaking ties by behavior tree in pre-order.  The tie is broken on the
+    intern table's ids (`_least`), as in a reduced ordered BDD, so only the
+    winner's tree is unfolded; its two masses are the only `Fraction`s
+    built.  The returned query re-evaluates, via `collection_prob`, to
+    exactly the two reported values.
     """
     ensure_similar(p1, p2)
     table: dict[tuple, int] = {}
@@ -392,13 +411,11 @@ def check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
         if masses[0] != masses[1]:
             differing[i] = masses
     low = min(min(masses) for masses in differing.values())
-    tied = [i for i, masses in differing.items() if min(masses) == low]
-    maps = _trees(table, p1.actions, tied)
-    i = min(tied, key=lambda i: maps[i].tree)
+    i = _least(list(table), {i for i, masses in differing.items() if min(masses) == low})
     return Verdict(
         equivalent=False,
         witness=CollectionWitness(
-            query=_witness_query(maps[i]),
+            query=_witness_query(_trees(table, p1.actions, [i])[i]),
             value_left=Fraction(differing[i][0], den),
             value_right=Fraction(differing[i][1], den),
         ),

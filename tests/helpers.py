@@ -280,21 +280,29 @@ def behavior_collection_prob(p: Pomdp, q, m: int, dp=None) -> Fraction:
     return total
 
 
-def distribution_check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
-    """`check_cf_equiv` by comparing the two `behavior_distribution` dicts,
-    keyed by behavior map, with the same witness rule: among differing maps
-    the smallest minimum mass, ties broken by behavior tree."""
+def cf_witness_oracle(p1: Pomdp, p2: Pomdp, m: int) -> CollectionWitness | None:
+    """`check_cf_equiv`'s witness rule read off both environments'
+    `behavior_distribution`, every map unfolded as a tree: among the maps
+    whose masses differ, those tied at the smallest minimum mass, and of
+    them the least tree.  None when no mass differs."""
     ensure_similar(p1, p2)
     d1 = behavior_distribution(p1, m)
     d2 = behavior_distribution(p2, m)
-    if d1 == d2:
-        return Verdict(equivalent=True)
-    differing = [bm for bm in set(d1) | set(d2) if d1.get(bm, ZERO) != d2.get(bm, ZERO)]
-    bm = min(differing, key=lambda b: (min(d1.get(b, ZERO), d2.get(b, ZERO)), b.tree))
-    return Verdict(
-        equivalent=False,
-        witness=CollectionWitness(_witness_query(bm), d1.get(bm, ZERO), d2.get(bm, ZERO)),
-    )
+    masses = {bm: (d1.get(bm, ZERO), d2.get(bm, ZERO)) for bm in set(d1) | set(d2)}
+    differing = {bm: pair for bm, pair in masses.items() if pair[0] != pair[1]}
+    if not differing:
+        return None
+    low = min(min(pair) for pair in differing.values())
+    tied = [bm for bm, pair in differing.items() if min(pair) == low]
+    bm = min(tied, key=lambda b: b.tree)
+    return CollectionWitness(_witness_query(bm), *differing[bm])
+
+
+def distribution_check_cf_equiv(p1: Pomdp, p2: Pomdp, m: int) -> Verdict:
+    """`check_cf_equiv` by comparing the two `behavior_distribution` dicts,
+    keyed by behavior map, with the witness of `cf_witness_oracle`."""
+    witness = cf_witness_oracle(p1, p2, m)
+    return Verdict(equivalent=witness is None, witness=witness)
 
 
 def stage_support(p: Pomdp, m: int):
@@ -606,16 +614,18 @@ def perturb_one_row(p: Pomdp, rng: random.Random) -> Pomdp:
     return Pomdp.build(p.states, p.actions, p.observations, p.init, trans, dict(p.obs))
 
 
-def fresh_observation_pair(p: Pomdp, k: int, fresh: str = "fresh") -> tuple[Pomdp, Pomdp]:
-    """`p` with an observation `fresh` declared but never emitted, and `p`
-    unrolled for k turns that emits only `fresh` from turn k on.  Histories
-    shorter than k keep their probabilities, so the pair first differs at
-    turn k."""
+def fresh_unrolling(p: Pomdp, k: int, fresh: str = "z") -> Pomdp:
+    """`p` unrolled for k turns: copies `s_0` .. `s_{k-1}` of each state s
+    keep p's observation rows, and every row at turn k - 1 or later leads
+    into copies `s_<fresh>` that emit only `fresh`, an observation p
+    declares.  Histories shorter than k keep their probabilities.  With
+    k = 1 this is perfbench's `late_fresh_obs`."""
+    if fresh not in p.observations:
+        raise ValueError(f"{fresh!r} is not an observation of the environment")
 
     def layer(s: str, t: int) -> str:
-        return f"{s}@{t}" if t < k else f"{s}@late"
+        return f"{s}_{t}" if t < k else f"{s}_{fresh}"
 
-    observations = p.observations + (fresh,)
     trans, obs = {}, {}
     for t in range(k + 1):
         for s in p.states:
@@ -624,16 +634,25 @@ def fresh_observation_pair(p: Pomdp, k: int, fresh: str = "fresh") -> tuple[Pomd
                 trans[(layer(s, t), a)] = {
                     layer(s2, min(t + 1, k)): w for s2, w in p.trans_dist(s, a).entries
                 }
-    unrolled = Pomdp.build(
+    return Pomdp.build(
         tuple(layer(s, t) for t in range(k + 1) for s in p.states),
         p.actions,
-        observations,
+        p.observations,
         {layer(s, 0): w for s, w in p.init.entries},
         trans,
         obs,
     )
-    declared = Pomdp.build(p.states, p.actions, observations, p.init, dict(p.trans), dict(p.obs))
-    return declared, unrolled
+
+
+def fresh_observation_pair(p: Pomdp, k: int, fresh: str = "fresh") -> tuple[Pomdp, Pomdp]:
+    """`p` with an observation `fresh` declared but never emitted, and its
+    `fresh_unrolling`, which emits only `fresh` from turn k on.  Histories
+    shorter than k keep their probabilities, so the pair first differs at
+    turn k."""
+    declared = Pomdp.build(
+        p.states, p.actions, p.observations + (fresh,), p.init, dict(p.trans), dict(p.obs)
+    )
+    return declared, fresh_unrolling(declared, k, fresh)
 
 
 def reversed_alphabets(p: Pomdp) -> Pomdp:

@@ -399,6 +399,18 @@ class TestPolicies:
         with pytest.raises(InputError, match="policy names history o0 twice"):
             make(decisions)
 
+    @pytest.mark.parametrize("value", [
+        (("a0", 0.5), ("a1", 0.5)),
+        {"a0": Fraction(1, 2), "a1": Fraction(1, 2)},
+        "a0",
+        None,
+    ])
+    def test_stochastic_decision_must_be_a_finite_dist(self, value):
+        # a float table used to pass here and fail later in history_prob
+        # with AttributeError: 'tuple' object has no attribute 'prob'
+        with pytest.raises(InputError, match="^policy decision at o0 is not a FiniteDist: "):
+            StochasticPolicy(((History.parse("o0"), value),))
+
 
 def _o0_query():
     return CollectionQuery(((History.parse("o0"), DeterministicPolicy(()).as_stochastic()),))

@@ -43,6 +43,8 @@ from helpers import (
     behavior_dp,
     brute_check_equiv,
     brute_collection_prob,
+    cf_witness_oracle,
+    fresh_unrolling,
     random_cf_env,
     random_det_policy,
     random_pomdp,
@@ -693,6 +695,31 @@ class TestCheckCfEquivOracle:
                     w = got.witness
                     assert isinstance(w.value_left, Fraction) and isinstance(w.value_right, Fraction)
         assert inequivalent >= 50 and len(cases) * 2 - inequivalent >= 50
+
+    def test_witness_is_the_least_tied_map(self, cf_envs):
+        # the whole witness (query and both masses) against every tied map
+        # unfolded; against a fresh unrolling one side has mass 0 on nearly
+        # every map, so nearly every map is tied, and a reweighted start
+        # keeps both masses positive
+        rng = random.Random(2609)
+        p = aliased_env()
+        cases = [(p, fresh_unrolling(p, 1), 3), (reversed_alphabets(p), fresh_unrolling(p, 2), 3)]
+        for i, p in enumerate(cf_envs):
+            for m in (1, 2, 3) if i < 3 else (1, 2):
+                for k in (1, 2):
+                    cases.append((p, fresh_unrolling(p, k), m))
+                    cases.append((reversed_alphabets(fresh_unrolling(p, k)), p, m))
+                cases.append((reversed_alphabets(p), perturb_one_row(p, rng), m))
+                cases.append((p, reversed_alphabets(reweighted_start(p)), m))
+        low_zero = inequivalent = 0
+        for p, q, m in cases:
+            for left, right in ((p, q), (q, p)):
+                got = check_cf_equiv(left, right, m)
+                assert got.witness == cf_witness_oracle(left, right, m)
+                if not got.equivalent:
+                    inequivalent += 1
+                    low_zero += min(got.witness.value_left, got.witness.value_right) == 0
+        assert low_zero >= 100 and inequivalent - low_zero >= 10
 
     def test_equivalent_inputs_build_no_behavior_map(self, monkeypatch, mu, mu_prime):
         def unavailable(*args):
